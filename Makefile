@@ -1,12 +1,14 @@
-# Tier-1 gate: everything a change must pass before it lands.
-# `make ci` is what the roadmap calls the tier-1 verify, extended with the
-# race detector now that the experiment pipeline runs on a worker pool.
+# Tier-1 gate: everything a change must pass before it lands. `make ci`
+# runs scripts/ci.sh, the one list of its steps (gofmt, vet, build, the race
+# suite, benchmark and fuzz smokes, the wall-clock gate and the end-to-end
+# smokes below).
 
 GO ?= go
 
 .PHONY: ci fmt vet build test race bench bench-smoke serve-bench serve-bench-smoke procs-smoke adaptive-smoke serve-smoke fuzz-smoke policyselect-smoke prodday-smoke attrib-smoke cluster-smoke
 
-ci: fmt vet build race bench-smoke serve-bench-smoke
+ci:
+	scripts/ci.sh
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

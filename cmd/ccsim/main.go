@@ -19,14 +19,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
-	"repro/internal/attrib"
 	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -34,54 +33,73 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/profiling"
+	"repro/internal/server/api"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tracelog"
 )
 
-func main() {
-	logPath := flag.String("log", "", "cache-event log path")
-	capFrac := flag.Float64("capfrac", 0.5, "cache capacity as a fraction of the unbounded peak (the paper uses 0.5)")
-	layout := flag.String("layout", "45-10-45", "nursery-probation-persistent percentages")
-	threshold := flag.Uint64("threshold", 1, "probation promotion threshold")
-	unified := flag.Bool("unified", false, "simulate only the unified baseline")
-	tiers := flag.String("tiers", "", `replay an arbitrary tier graph instead of the stock generational chain, e.g. "30-10-20-40@1,2,4" (percentages, then per-edge promotion thresholds) or "30@lru-70@trrip" (per-tier policies)`)
-	adaptive := flag.Bool("adaptive", false, "attach the adaptive split controller (re-balances tier capacities online)")
-	epoch := flag.Uint64("epoch", 0, "accesses between adaptive controller decisions (0 = controller default)")
-	policyFlag := flag.String("policy", "", `local-policy spec applied to every graph tier not already naming one ("lru", "trrip:cold=4", "auto" for online selection); implies the tier-graph replay path`)
-	why := flag.Bool("why", false, "attach the attribution ledger and render the per-module miss-cause report; implies the tier-graph replay path")
-	whyEpoch := flag.Uint64("whyepoch", 0, "attribution epoch in accesses for -why (0 = ledger default)")
-	whyTop := flag.Int("whytop", 12, "modules shown in the -why report (0 = all)")
-	selEpoch := flag.Uint64("selepoch", 0, "accesses between policy-selector decisions (0 = selector default)")
-	listPolicies := flag.Bool("policies", false, "list the policy registry and exit")
-	procs := flag.Int("procs", 1, "replay as this many processes over one shared persistent tier (1 = classic single-process replay)")
-	stagger := flag.Int("stagger", 0, "with -procs > 1: admit process p after p*stagger total events (0 = auto)")
-	parallel := flag.Int("parallel", 0, "worker pool size for the replays (0 = GOMAXPROCS, 1 = sequential); results are identical at every level")
-	timeout := flag.Duration("timeout", 0, "abort the simulation after this long (0 = no limit)")
-	eventsPath := flag.String("events", "", `dump the observer event stream as JSON lines to this file ("-" = stdout); forces -parallel 1 so the stream stays ordered`)
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is ccsim: it parses args, replays the log, writes the report to
+// stdout — or to stderr when the -events stream owns stdout — and returns
+// the exit status (2 for a bad command line, 1 for a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	logPath := fs.String("log", "", "cache-event log path")
+	capFrac := fs.Float64("capfrac", api.DefaultCapFrac, "cache capacity as a fraction of the unbounded peak (the paper uses 0.5)")
+	layout := fs.String("layout", api.DefaultLayout, "nursery-probation-persistent percentages")
+	threshold := fs.Uint64("threshold", api.DefaultThreshold, "probation promotion threshold")
+	unified := fs.Bool("unified", false, "simulate only the unified baseline")
+	tiers := fs.String("tiers", "", `replay an arbitrary tier graph instead of the stock generational chain, e.g. "30-10-20-40@1,2,4" (percentages, then per-edge promotion thresholds) or "30@lru-70@trrip" (per-tier policies)`)
+	adaptive := fs.Bool("adaptive", false, "attach the adaptive split controller (re-balances tier capacities online)")
+	epoch := fs.Uint64("epoch", 0, "accesses between adaptive controller decisions (0 = controller default)")
+	policyFlag := fs.String("policy", "", `local-policy spec applied to every graph tier not already naming one ("lru", "trrip:cold=4", "auto" for online selection); implies the tier-graph replay path`)
+	why := fs.Bool("why", false, "attach the attribution ledger and render the per-module miss-cause report; implies the tier-graph replay path")
+	whyEpoch := fs.Uint64("whyepoch", 0, "attribution epoch in accesses for -why (0 = ledger default)")
+	whyTop := fs.Int("whytop", 12, "modules shown in the -why report (0 = all)")
+	selEpoch := fs.Uint64("selepoch", 0, "accesses between policy-selector decisions (0 = selector default)")
+	listPolicies := fs.Bool("policies", false, "list the policy registry and exit")
+	procs := fs.Int("procs", 1, "replay as this many processes over one shared persistent tier (1 = classic single-process replay)")
+	stagger := fs.Int("stagger", 0, "with -procs > 1: admit process p after p*stagger total events (0 = auto)")
+	parallel := fs.Int("parallel", 0, "worker pool size for the replays (0 = GOMAXPROCS, 1 = sequential); results are identical at every level")
+	timeout := fs.Duration("timeout", 0, "abort the simulation after this long (0 = no limit)")
+	eventsPath := fs.String("events", "", `dump the observer event stream as JSON lines to this file ("-" = stdout); forces -parallel 1 so the stream stays ordered`)
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag set has reported the problem
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "ccsim:", msg)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ccsim:", err)
+		return 1
+	}
 
 	if *version {
-		fmt.Println(buildinfo.Version("ccsim"))
-		return
+		fmt.Fprintln(stdout, buildinfo.Version("ccsim"))
+		return 0
 	}
 	if *listPolicies {
-		fmt.Print(policy.Describe())
-		return
+		fmt.Fprint(stdout, policy.Describe())
+		return 0
 	}
 	if err := pipeline.Validate(*parallel); err != nil {
-		fmt.Fprintf(os.Stderr, "ccsim: invalid -parallel value: %v\n", err)
-		os.Exit(2)
+		return usage(fmt.Sprintf("invalid -parallel value: %v", err))
 	}
 	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	stopProfiles = stop
-	defer stopProfiles()
+	defer stop()
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -90,185 +108,156 @@ func main() {
 	}
 
 	if *logPath == "" {
-		fmt.Fprintln(os.Stderr, "ccsim: -log is required")
-		os.Exit(2)
+		return usage("-log is required")
 	}
 	f, err := os.Open(*logPath)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer f.Close()
 	h, events, err := tracelog.ReadAll(f)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	out := stdout
 	var dump *eventDumper
 	if *eventsPath != "" {
-		w := io.Writer(os.Stdout)
+		w := stdout
 		if *eventsPath != "-" {
 			ef, err := os.Create(*eventsPath)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			defer ef.Close()
 			w = ef
 		} else {
-			out = os.Stderr // keep the JSON stream on stdout uncontaminated
+			out = stderr // keep the JSON stream on stdout uncontaminated
 		}
 		dump = &eventDumper{enc: json.NewEncoder(w)}
 		*parallel = 1 // one replay at a time keeps the stream ordered
 	}
 
+	// The replay configuration is a session configuration: the same type,
+	// sizing and graph builder a gencached session of these parameters uses,
+	// so ccsim is the offline ground truth for served sessions.
+	cfg := api.SessionConfig{
+		CapFrac:    *capFrac,
+		Layout:     *layout,
+		Threshold:  threshold,
+		Tiers:      *tiers,
+		Policy:     *policyFlag,
+		SelEpoch:   *selEpoch,
+		Adaptive:   *adaptive,
+		AdaptEpoch: *epoch,
+		Attrib:     *why,
+		Events:     dump != nil,
+	}
 	sum := tracelog.Summarize(h, events)
-	capacity := uint64(float64(sum.MaxLiveBytes) * *capFrac)
+	capacity, err := cfg.Capacity(sum.MaxLiveBytes)
+	if err != nil {
+		return fail(err)
+	}
 	fmt.Fprintf(out, "%s: %s events, unbounded peak %s, simulated capacity %s\n",
 		h.Benchmark, stats.FmtCount(uint64(len(events))), stats.FmtBytes(sum.MaxLiveBytes), stats.FmtBytes(capacity))
-
-	fracs, err := parseLayout(*layout)
+	spec, err := cfg.GraphSpec(capacity)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	cfg := core.Config{
-		TotalCapacity:    capacity,
-		NurseryFrac:      fracs[0],
-		ProbationFrac:    fracs[1],
-		PersistentFrac:   fracs[2],
-		PromoteThreshold: *threshold,
-		PromoteOnAccess:  *threshold <= 1,
+	if spec.Attrib != nil {
+		spec.Attrib.Epoch = *whyEpoch // a report setting, not a session parameter
 	}
 
 	graphMode := *tiers != "" || *adaptive || *policyFlag != "" || *why
 	if *why && *unified {
-		fmt.Fprintln(os.Stderr, "ccsim: -why attributes the tier-graph replay; it does not combine with -unified")
-		os.Exit(2)
+		return usage("-why attributes the tier-graph replay; it does not combine with -unified")
 	}
 	if *procs > 1 {
 		if graphMode {
-			fmt.Fprintln(os.Stderr, "ccsim: -tiers, -adaptive, -policy, and -why do not combine with -procs")
-			os.Exit(2)
+			return usage("-tiers, -adaptive, -policy, and -why do not combine with -procs")
 		}
-		if err := runShared(h.Benchmark, events, cfg, *procs, *stagger, dump); err != nil {
-			fatal(err)
+		if err := runShared(out, h.Benchmark, events, spec, *procs, *stagger, dump); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *procs < 1 {
-		fmt.Fprintln(os.Stderr, "ccsim: -procs must be at least 1")
-		os.Exit(2)
+		return usage("-procs must be at least 1")
 	}
 
-	// The tier-graph path replaces the stock generational replay: the graph
-	// shape comes from -tiers (or the stock chain when only -adaptive is
-	// given), and -adaptive attaches the online split controller. The
-	// manager is built here rather than inside sim so its controller
-	// counters can be reported after the replay.
-	var spec core.GraphSpec
-	var graphMgr *core.Graph
-	if graphMode {
-		if *tiers != "" {
-			spec, err = core.ParseTierSpec(*tiers, capacity)
+	// Every replay's manager is built here rather than inside sim so its
+	// controller counters can be reported after the replay. The event dump
+	// tags the configuration "graph" when a graph flag shaped it.
+	baseline, err := api.SessionConfig{Unified: true}.GraphSpec(capacity)
+	if err != nil {
+		return fail(err)
+	}
+	mgrs := make([]*core.Graph, 2)
+	job := func(i int, tag string, spec core.GraphSpec) pipeline.Job[sim.Result] {
+		return pipeline.Job[sim.Result]{Name: tag, Run: func(context.Context) (sim.Result, error) {
+			acc := costmodel.NewAccum(costmodel.DefaultModel)
+			o := dump.forConfig(tag)
+			mgr, err := core.NewGraph(spec, obs.Combine(sim.CostObserver(acc), o))
 			if err != nil {
-				fatal(err)
+				return sim.Result{}, err
 			}
-		} else {
-			spec = cfg.GraphSpec()
-		}
-		if *adaptive {
-			spec.Adaptive = &core.AdaptiveConfig{Epoch: *epoch}
-		}
-		if *policyFlag != "" {
-			for i := range spec.Tiers {
-				if spec.Tiers[i].Policy == "" {
-					spec.Tiers[i].Policy = *policyFlag
-				}
-			}
-		}
-		if *selEpoch > 0 {
-			spec.Selector = &core.SelectorConfig{Epoch: *selEpoch}
-		}
-		if *why {
-			spec.Attrib = &attrib.Config{Epoch: *whyEpoch, EmitEvents: dump != nil}
-		}
-		if err := spec.Validate(); err != nil {
-			fatal(err)
-		}
+			mgrs[i] = mgr
+			return sim.ReplayObserved(h.Benchmark, events, mgr, acc, o)
+		}}
 	}
-
-	jobs := []pipeline.Job[sim.Result]{{
-		Name: "unified",
-		Run: func(context.Context) (sim.Result, error) {
-			return sim.ReplayUnifiedObserved(h.Benchmark, events, capacity, costmodel.DefaultModel, dump.forConfig("unified/pseudo-circular"))
-		},
-	}}
+	jobs := []pipeline.Job[sim.Result]{job(0, "unified/pseudo-circular", baseline)}
 	if !*unified {
+		tag := "generational"
 		if graphMode {
-			jobs = append(jobs, pipeline.Job[sim.Result]{
-				Name: "graph",
-				Run: func(context.Context) (sim.Result, error) {
-					acc := costmodel.NewAccum(costmodel.DefaultModel)
-					gd := dump.forConfig("graph")
-					mgr, err := core.NewGraph(spec, obs.Combine(sim.CostObserver(acc), gd))
-					if err != nil {
-						return sim.Result{}, err
-					}
-					graphMgr = mgr
-					return sim.ReplayObserved(h.Benchmark, events, mgr, acc, gd)
-				},
-			})
-		} else {
-			jobs = append(jobs, pipeline.Job[sim.Result]{
-				Name: "generational",
-				Run: func(context.Context) (sim.Result, error) {
-					return sim.ReplayGenerationalObserved(h.Benchmark, events, cfg, costmodel.DefaultModel, dump.forConfig("generational"))
-				},
-			})
+			tag = "graph"
 		}
+		jobs = append(jobs, job(1, tag, spec))
 	}
 	results, err := pipeline.Map(ctx, pipeline.Options{Parallel: *parallel}, jobs)
+	if err == nil {
+		err = dump.failed()
+	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	u := results[0]
-	report("unified/pseudo-circular", u)
+	report(out, "unified/pseudo-circular", u)
 	if *unified {
-		return
+		return 0
 	}
-	g := results[1]
-	report(g.Config, g)
-	if graphMgr != nil {
-		if as, ok := graphMgr.AdaptiveStats(); ok {
-			caps := graphMgr.TierCapacities()
-			parts := make([]string, len(caps))
-			for i, c := range caps {
-				parts[i] = fmt.Sprintf("%.0f", 100*float64(c)/float64(capacity))
-			}
-			fmt.Fprintf(out, "  adaptive: %d resizes (%d reversals, %d blocked) over %d epochs, final split %s\n",
-				as.Resizes, as.Reversals, as.Blocked, as.Epochs, strings.Join(parts, "-"))
+	g, graphMgr := results[1], mgrs[1]
+	report(out, g.Config, g)
+	if as, ok := graphMgr.AdaptiveStats(); ok {
+		caps := graphMgr.TierCapacities()
+		parts := make([]string, len(caps))
+		for i, c := range caps {
+			parts[i] = fmt.Sprintf("%.0f", 100*float64(c)/float64(capacity))
 		}
-		if ss, ok := graphMgr.SelectorStats(); ok {
-			fmt.Fprintf(out, "  selector: %d switches (%d reversals) over %d epochs, live policies %s\n",
-				ss.Switches, ss.Reversals, ss.Epochs, strings.Join(graphMgr.LivePolicies(), "-"))
+		fmt.Fprintf(out, "  adaptive: %d resizes (%d reversals, %d blocked) over %d epochs, final split %s\n",
+			as.Resizes, as.Reversals, as.Blocked, as.Epochs, strings.Join(parts, "-"))
+	}
+	if ss, ok := graphMgr.SelectorStats(); ok {
+		fmt.Fprintf(out, "  selector: %d switches (%d reversals) over %d epochs, live policies %s\n",
+			ss.Switches, ss.Reversals, ss.Epochs, strings.Join(graphMgr.LivePolicies(), "-"))
+	}
+	if led := graphMgr.Ledger(); led != nil {
+		snap := led.Snapshot()
+		fmt.Fprintln(out)
+		gate := uint64(0)
+		for _, t := range spec.Tiers {
+			if t.Threshold > 0 {
+				gate = t.Threshold
+				break
+			}
 		}
-		if led := graphMgr.Ledger(); led != nil {
-			snap := led.Snapshot()
-			fmt.Fprintln(out)
-			gate := uint64(0)
-			for _, t := range spec.Tiers {
-				if t.Threshold > 0 {
-					gate = t.Threshold
-					break
-				}
-			}
-			if prem, middle, share := snap.PrematureShare(); middle > 0 && gate > 0 {
-				fmt.Fprintf(out, "why: probation threshold %d deleted %d of %d middle-tier casualties (%.1f%%) that re-heated within %d epoch(s)\n",
-					gate, prem, middle, share, snap.ReheatEpochs)
-			}
-			snap.WriteReport(out, *whyTop)
-			if !snap.Conserved() || snap.Regens != g.Regenerations {
-				fatal(fmt.Errorf("attribution conservation violated: %d cause counts, %d ledger regenerations, %d replay regenerations",
-					snap.RegenCauses(), snap.Regens, g.Regenerations))
-			}
+		if prem, middle, share := snap.PrematureShare(); middle > 0 && gate > 0 {
+			fmt.Fprintf(out, "why: probation threshold %d deleted %d of %d middle-tier casualties (%.1f%%) that re-heated within %d epoch(s)\n",
+				gate, prem, middle, share, snap.ReheatEpochs)
+		}
+		snap.WriteReport(out, *whyTop)
+		if !snap.Conserved() || snap.Regens != g.Regenerations {
+			return fail(fmt.Errorf("attribution conservation violated: %d cause counts, %d ledger regenerations, %d replay regenerations",
+				snap.RegenCauses(), snap.Regens, g.Regenerations))
 		}
 	}
 
@@ -279,6 +268,7 @@ func main() {
 	fmt.Fprintf(out, "\nmiss-rate reduction: %+.1f%%   misses eliminated: %d   overhead ratio: %.1f%%\n",
 		red*100, int64(u.Misses)-int64(g.Misses),
 		costmodel.OverheadRatio(g.Overhead, u.Overhead)*100)
+	return 0
 }
 
 // runShared is the -procs N>1 mode: the log is replayed once per simulated
@@ -286,12 +276,15 @@ func main() {
 // traces instead of regenerating them), and compared against the isolated
 // aggregate — N independent replays, which all pay identical costs, so one
 // replay scaled by N is exact.
-func runShared(benchmark string, events []tracelog.Event, cfg core.Config, procs, stagger int, dump *eventDumper) error {
-	iso, err := sim.ReplayGenerational(benchmark, events, cfg, costmodel.DefaultModel)
+func runShared(out io.Writer, benchmark string, events []tracelog.Event, spec core.GraphSpec, procs, stagger int, dump *eventDumper) error {
+	iso, err := sim.ReplayGraph(benchmark, events, spec, costmodel.DefaultModel)
 	if err != nil {
 		return err
 	}
-	sh, err := sim.ReplayShared(benchmark, events, cfg, costmodel.DefaultModel, procs, stagger, dump.forConfig("shared"))
+	sh, err := sim.ReplayShared(benchmark, events, spec, costmodel.DefaultModel, procs, stagger, dump.forConfig("shared"))
+	if err == nil {
+		err = dump.failed()
+	}
 	if err != nil {
 		return err
 	}
@@ -303,7 +296,7 @@ func runShared(benchmark string, events []tracelog.Event, cfg core.Config, procs
 	fmt.Fprintf(out, "  accesses %s   misses %s   miss rate %.3f%%\n",
 		stats.FmtCount(n*iso.Accesses), stats.FmtCount(n*iso.Misses), 100*iso.MissRate())
 	fmt.Fprintf(out, "  trace generations %s   overhead %.0f instructions   cache memory %s\n",
-		stats.FmtCount(isoGens), isoOverhead, stats.FmtBytes(n*cfg.TotalCapacity))
+		stats.FmtCount(isoGens), isoOverhead, stats.FmtBytes(n*spec.TotalCapacity))
 
 	fmt.Fprintf(out, "\n%s (%d procs over one shared persistent tier)\n", sh.Config, sh.Procs)
 	fmt.Fprintf(out, "  accesses %s   misses %s   miss rate %.3f%%\n",
@@ -322,14 +315,12 @@ func runShared(benchmark string, events []tracelog.Event, cfg core.Config, procs
 	return nil
 }
 
-// out is where human-readable reporting goes; stderr when the JSON event
-// stream owns stdout.
-var out io.Writer = os.Stdout
-
 // eventDumper renders the observer stream as JSON lines, one record per
-// event, tagged with the replay configuration it came from.
+// event, tagged with the replay configuration it came from. The first write
+// error is kept and stops further writes.
 type eventDumper struct {
 	enc *json.Encoder
+	err error
 }
 
 type eventRecord struct {
@@ -369,13 +360,21 @@ func (d *eventDumper) forConfig(config string) obs.Observer {
 		case obs.KindRegenerate:
 			rec.From, rec.Reason = e.From.String(), e.Reason.String()
 		}
-		if err := d.enc.Encode(rec); err != nil {
-			fatal(err)
+		if d.err == nil {
+			d.err = d.enc.Encode(rec)
 		}
 	})
 }
 
-func report(name string, r sim.Result) {
+// failed returns the first write error of the dump (nil for no dump).
+func (d *eventDumper) failed() error {
+	if d == nil {
+		return nil
+	}
+	return d.err
+}
+
+func report(out io.Writer, name string, r sim.Result) {
 	fmt.Fprintf(out, "\n%s\n", name)
 	fmt.Fprintf(out, "  accesses %s   hits %s   misses %s   miss rate %.3f%%\n",
 		stats.FmtCount(r.Accesses), stats.FmtCount(r.Hits), stats.FmtCount(r.Misses), 100*r.MissRate())
@@ -384,35 +383,4 @@ func report(name string, r sim.Result) {
 	fmt.Fprintf(out, "  overhead: %.0f instructions (%s trace gens, %s evictions, %s promotions)\n",
 		r.Overhead.Total(), stats.FmtCount(r.Overhead.TraceGens),
 		stats.FmtCount(r.Overhead.Evictions), stats.FmtCount(r.Overhead.Promotions))
-}
-
-func parseLayout(s string) ([3]float64, error) {
-	var res [3]float64
-	parts := strings.Split(s, "-")
-	if len(parts) != 3 {
-		return res, fmt.Errorf("layout %q must be N-P-S percentages", s)
-	}
-	sum := 0.0
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil || v <= 0 {
-			return res, fmt.Errorf("bad layout component %q", p)
-		}
-		res[i] = v / 100
-		sum += v
-	}
-	if sum < 99.5 || sum > 100.5 {
-		return res, fmt.Errorf("layout %q must sum to 100", s)
-	}
-	return res, nil
-}
-
-// stopProfiles flushes any active pprof profiles; fatal must call it
-// explicitly because os.Exit skips deferred calls.
-var stopProfiles = func() {}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccsim:", err)
-	stopProfiles()
-	os.Exit(1)
 }

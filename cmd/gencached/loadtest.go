@@ -41,9 +41,9 @@ func loadtestMain(args []string) {
 	sessions := fs.Int("sessions", 0, "total sessions to run (default: one per client)")
 	bench := fs.String("bench", "word", "comma-separated benchmark names; clients round-robin across them")
 	scale := fs.Float64("scale", 0.125, "workload code-size scale factor")
-	capFrac := fs.Float64("capfrac", 0.5, "session capacity as a fraction of the log's unbounded peak")
-	layout := fs.String("layout", "45-10-45", "nursery-probation-persistent percentages")
-	threshold := fs.Uint64("threshold", 1, "probation promotion threshold")
+	capFrac := fs.Float64("capfrac", api.DefaultCapFrac, "session capacity as a fraction of the log's unbounded peak")
+	layout := fs.String("layout", api.DefaultLayout, "nursery-probation-persistent percentages")
+	threshold := fs.Uint64("threshold", api.DefaultThreshold, "probation promotion threshold")
 	unified := fs.Bool("unified", false, "replay the unified baseline instead of the generational chain")
 	verify := fs.Bool("verify", true, "verify every served result against an offline replay of the same log")
 	minSessions := fs.Int("min-sessions", 0, "fail unless at least this many sessions completed")
@@ -85,19 +85,12 @@ func loadtestMain(args []string) {
 	}
 	c := nodes[0]
 
-	opts := client.SessionOptions{
-		CapFrac:      *capFrac,
-		Layout:       *layout,
-		Threshold:    *threshold,
-		HasThreshold: true,
-		Unified:      *unified,
-	}
-	// The offline verification config mirrors the session options; both the
-	// served session and server.OfflineReplay build their managers from it.
-	vcfg := server.SessionConfig{
+	// One configuration drives both the served sessions and the offline
+	// replays they are verified against.
+	cfg := api.SessionConfig{
 		CapFrac:   *capFrac,
 		Layout:    *layout,
-		Threshold: *threshold,
+		Threshold: threshold,
 		Unified:   *unified,
 	}
 
@@ -117,7 +110,7 @@ func loadtestMain(args []string) {
 		}
 		logs[i] = data
 		if *verify {
-			exp, err := server.OfflineReplay(vcfg, nil, data)
+			exp, err := server.OfflineReplay(cfg, nil, data)
 			if err != nil {
 				fatal(err)
 			}
@@ -169,7 +162,7 @@ func loadtestMain(args []string) {
 				var res api.SessionResult
 				var err error
 				for attempt := 0; ; attempt++ {
-					res, err = node.Session(ctx, opts, bytes.NewReader(logs[b]))
+					res, err = node.Session(ctx, cfg, bytes.NewReader(logs[b]))
 					if !errors.Is(err, client.ErrOverloaded) || attempt >= 20 {
 						break
 					}
@@ -292,7 +285,7 @@ func overloadCheck(ctx context.Context, clk simclock.Clock, c *client.Client, ho
 	for i := 0; i < hold; i++ {
 		pr, pw := io.Pipe()
 		go func() {
-			res, err := c.Session(ctx, client.SessionOptions{CapacityBytes: 1 << 20}, pr)
+			res, err := c.Session(ctx, api.SessionConfig{CapacityBytes: 1 << 20}, pr)
 			pr.Close()
 			// The held log carries only its KindEnd marker.
 			if err == nil && res.Events > 1 {
@@ -337,7 +330,7 @@ func overloadCheck(ctx context.Context, clk simclock.Clock, c *client.Client, ho
 	// Every slot and queue position is taken: new sessions must bounce.
 	var rejected int
 	for i := 0; i < 3; i++ {
-		_, err := c.Session(ctx, client.SessionOptions{CapacityBytes: 1 << 20}, bytes.NewReader(nil))
+		_, err := c.Session(ctx, api.SessionConfig{CapacityBytes: 1 << 20}, bytes.NewReader(nil))
 		if errors.Is(err, client.ErrOverloaded) {
 			rejected++
 		}

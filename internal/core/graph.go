@@ -144,13 +144,14 @@ func (s GraphSpec) Validate() error {
 		return fmt.Errorf("core: graph needs at least one tier")
 	}
 	var sum float64
+	// The negated comparisons also refuse NaN fractions.
 	for _, t := range s.Tiers {
-		if t.Frac <= 0 {
+		if !(t.Frac > 0) {
 			return fmt.Errorf("core: every tier fraction must be positive")
 		}
 		sum += t.Frac
 	}
-	if sum < 0.999 || sum > 1.001 {
+	if !(sum >= 0.999 && sum <= 1.001) {
 		return fmt.Errorf("core: tier fractions sum to %.3f, want 1", sum)
 	}
 	for i, t := range s.Tiers {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/server/api"
 	"repro/internal/server/client"
 	"repro/internal/simclock"
 )
@@ -85,8 +86,8 @@ func (o Options) withDefaults() Options {
 // session is one arrival moving through the day.
 type session struct {
 	arr       arrival
-	cfg       server.SessionConfig // final config, pressure included
-	arrivedAt time.Time            // virtual
+	cfg       api.SessionConfig // final config, pressure included
+	arrivedAt time.Time         // virtual
 	startedAt time.Time
 }
 

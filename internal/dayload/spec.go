@@ -22,7 +22,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/server"
+	"repro/internal/server/api"
 )
 
 // Spec declares one production day.
@@ -67,7 +67,7 @@ type Mix struct {
 	Hourly [24]float64
 	// Config is the session configuration every arrival of this mix uses.
 	// The engine may add Adaptive and Pressure on top (load-reactive arms).
-	Config server.SessionConfig
+	Config api.SessionConfig
 }
 
 // Deploy is one scheduled module-unmap event.
@@ -89,7 +89,7 @@ type Crowd struct {
 	// Sessions is how many extra arrivals the burst injects.
 	Sessions int
 	// Config is the burst sessions' configuration.
-	Config server.SessionConfig
+	Config api.SessionConfig
 }
 
 func (s Spec) withDefaults() Spec {
@@ -135,7 +135,7 @@ func Diurnal(peakHour int, base, peak float64) [24]float64 {
 type arrival struct {
 	at    time.Duration // declared offset into the day
 	bench string
-	cfg   server.SessionConfig
+	cfg   api.SessionConfig
 	crowd bool
 	seq   int // global arrival index, assigned after sorting
 }
@@ -212,7 +212,7 @@ type Arrival struct {
 	// Bench is the workload profile the session replays.
 	Bench string
 	// Config is the session's configuration.
-	Config server.SessionConfig
+	Config api.SessionConfig
 	// Crowd marks flash-crowd arrivals.
 	Crowd bool
 	// Seq is the global arrival index.

@@ -154,7 +154,7 @@ func ClusterVsIsolated(opts ClusterVsIsolatedOptions) (ClusterVsIsolatedResult, 
 		}
 		logs[i] = data
 		if o.Verify {
-			exp, err := server.OfflineReplay(server.SessionConfig{}, nil, data)
+			exp, err := server.OfflineReplay(api.SessionConfig{}, nil, data)
 			if err != nil {
 				return res, err
 			}
@@ -255,7 +255,7 @@ func runClusterArm(o ClusterVsIsolatedOptions, logs [][]byte, expected []api.Ses
 	for i := 0; i < o.Sessions; i++ {
 		n := i % o.Nodes
 		b := i % len(o.Benches)
-		res, err := srvs[n].ServeSession(server.SessionConfig{}, logs[b])
+		res, err := srvs[n].ServeSession(api.SessionConfig{}, logs[b])
 		if err != nil {
 			return arm, 0, fmt.Errorf("experiments: session %d on %s: %w", i, clusterNodeName(n), err)
 		}

@@ -11,8 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -428,29 +426,4 @@ type StreamLine struct {
 	Event  *Event         `json:"event,omitempty"`
 	Result *SessionResult `json:"result,omitempty"`
 	Error  string         `json:"error,omitempty"`
-}
-
-// ParseLayout parses an N-P-S percentage split ("45-10-45") into fractions.
-// It is the one layout grammar of the system: ccsim's -layout flag and the
-// service's layout parameter both resolve through it, so a served session
-// and its offline verification build byte-identical configurations.
-func ParseLayout(s string) ([3]float64, error) {
-	var res [3]float64
-	parts := strings.Split(s, "-")
-	if len(parts) != 3 {
-		return res, fmt.Errorf("layout %q must be N-P-S percentages", s)
-	}
-	sum := 0.0
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil || v <= 0 {
-			return res, fmt.Errorf("bad layout component %q", p)
-		}
-		res[i] = v / 100
-		sum += v
-	}
-	if sum < 99.5 || sum > 100.5 {
-		return res, fmt.Errorf("layout %q must sum to 100", s)
-	}
-	return res, nil
 }

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/server/api"
-	"repro/internal/server/client"
 )
 
 // regenCauses sums the cause counts that must conserve against the
@@ -33,7 +32,7 @@ func regenCauses(c api.CauseCounts) uint64 {
 func TestAttribSessionConserved(t *testing.T) {
 	data := syntheticLog(t, "gzip")
 	_, c := newTestServer(t, server.Config{})
-	got, err := c.Session(context.Background(), client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	got, err := c.Session(context.Background(), api.SessionConfig{Attrib: true}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestAttribSessionConserved(t *testing.T) {
 		t.Errorf("cold causes %d != cold creates %d", got.Causes.Cold, got.ColdCreates)
 	}
 
-	offline, err := server.OfflineReplay(server.SessionConfig{Attrib: true}, nil, data)
+	offline, err := server.OfflineReplay(api.SessionConfig{Attrib: true}, nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestAttribSessionConserved(t *testing.T) {
 func TestAttribSessionWithoutFlagIsZero(t *testing.T) {
 	data := syntheticLog(t, "word")
 	_, c := newTestServer(t, server.Config{})
-	got, err := c.Session(context.Background(), client.SessionOptions{}, bytes.NewReader(data))
+	got, err := c.Session(context.Background(), api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestAttribEndpoint(t *testing.T) {
 	data := syntheticLog(t, "gzip")
 	_, c := newTestServer(t, server.Config{})
 	ctx := context.Background()
-	got, err := c.Session(ctx, client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	got, err := c.Session(ctx, api.SessionConfig{Attrib: true}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestAttribMetrics(t *testing.T) {
 	data := syntheticLog(t, "gzip")
 	_, c := newTestServer(t, server.Config{})
 	ctx := context.Background()
-	got, err := c.Session(ctx, client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	got, err := c.Session(ctx, api.SessionConfig{Attrib: true}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestAdoptionMissReclassification(t *testing.T) {
 	// A 512-byte shared tier: publishes succeed, then evict each other, so a
 	// later regeneration of a published identity finds the tier empty-handed.
 	_, c := newTestServer(t, server.Config{SharedCapacity: 512})
-	got, err := c.Session(context.Background(), client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	got, err := c.Session(context.Background(), api.SessionConfig{Attrib: true}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +205,13 @@ func TestAttribBinaryStatsCarriesCauses(t *testing.T) {
 	ctx := context.Background()
 
 	_, cj := newTestServer(t, server.Config{})
-	viaJSON, err := cj.Session(ctx, client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	viaJSON, err := cj.Session(ctx, api.SessionConfig{Attrib: true}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, cb := newTestServer(t, server.Config{})
-	viaBinary, err := cb.Session(ctx, client.SessionOptions{Attrib: true, BinaryStats: true}, bytes.NewReader(data))
+	cb.BinaryStats = true
+	viaBinary, err := cb.Session(ctx, api.SessionConfig{Attrib: true}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

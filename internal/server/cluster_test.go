@@ -78,14 +78,14 @@ func (tc *testCluster) peersExcept(i int) []server.PeerAddr {
 // the same log, no matter which node served them.
 func TestClusterCrossNodeAdoption(t *testing.T) {
 	data := syntheticLog(t, "gzip")
-	offline, err := server.OfflineReplay(server.SessionConfig{}, nil, data)
+	offline, err := server.OfflineReplay(api.SessionConfig{}, nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc := newCluster(t, 3)
 	ctx := context.Background()
 
-	res0, err := tc.cls[0].Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
+	res0, err := tc.cls[0].Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestClusterCrossNodeAdoption(t *testing.T) {
 		t.Fatal("replication flush moved nothing to shard owners")
 	}
 
-	res1, err := tc.cls[1].Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
+	res1, err := tc.cls[1].Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestClusterMultiNodeStreamsReproducible(t *testing.T) {
 // format) and serves adoptions from them immediately.
 func TestClusterSnapshotBootstrap(t *testing.T) {
 	data := syntheticLog(t, "word")
-	offline, err := server.OfflineReplay(server.SessionConfig{}, nil, data)
+	offline, err := server.OfflineReplay(api.SessionConfig{}, nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 	ctx := context.Background()
 
 	// Warm the cluster: publications land on node 0 and replicate to node 1.
-	if _, err := tc.cls[0].Session(ctx, client.SessionOptions{}, bytes.NewReader(data)); err != nil {
+	if _, err := tc.cls[0].Session(ctx, api.SessionConfig{}, bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	tc.srvs[0].FlushReplication(ctx)
@@ -271,7 +271,7 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 
 	// A session on the joiner adopts from its bootstrapped shard and the
 	// cluster, and still verifies against offline replay.
-	res, err := tc.cls[2].Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
+	res, err := tc.cls[2].Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 // a dependency.
 func TestClusterSessionSurvivesPeerDeparture(t *testing.T) {
 	data := syntheticLog(t, "gzip")
-	offline, err := server.OfflineReplay(server.SessionConfig{}, nil, data)
+	offline, err := server.OfflineReplay(api.SessionConfig{}, nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestClusterSessionSurvivesPeerDeparture(t *testing.T) {
 	ctx := context.Background()
 
 	// Warm the cluster so the streaming session has remote shards to pull.
-	if _, err := tc.cls[1].Session(ctx, client.SessionOptions{}, bytes.NewReader(data)); err != nil {
+	if _, err := tc.cls[1].Session(ctx, api.SessionConfig{}, bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	tc.srvs[1].FlushReplication(ctx)
@@ -309,7 +309,7 @@ func TestClusterSessionSurvivesPeerDeparture(t *testing.T) {
 	}
 	done := make(chan sessionOut, 1)
 	go func() {
-		res, err := tc.cls[0].Session(ctx, client.SessionOptions{}, pr)
+		res, err := tc.cls[0].Session(ctx, api.SessionConfig{}, pr)
 		done <- sessionOut{res, err}
 	}()
 
@@ -349,7 +349,7 @@ func TestClusterTenantAttribution(t *testing.T) {
 	ctx := context.Background()
 
 	for _, tenant := range []string{"team-a", "team-a", "team-b"} {
-		if _, err := c.Session(ctx, client.SessionOptions{Attrib: true, Tenant: tenant}, bytes.NewReader(data)); err != nil {
+		if _, err := c.Session(ctx, api.SessionConfig{Attrib: true, Tenant: tenant}, bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,179 +12,36 @@ package server
 
 import (
 	"bytes"
-	"errors"
-	"io"
-	"strconv"
 
 	"repro/internal/costmodel"
 	"repro/internal/server/api"
 	"repro/internal/sim"
-	"repro/internal/tracelog"
 )
 
-// SessionConfig is the exported form of a session's parameters — the same
-// knobs the query string of POST /v1/sessions carries, for callers that
-// drive the server in-process.
-type SessionConfig struct {
-	// CapacityBytes, when >0, is the absolute simulated cache capacity.
-	CapacityBytes uint64
-	// CapFrac sizes the cache as a fraction of the log's unbounded peak when
-	// CapacityBytes is 0. Zero means the service default (0.5).
-	CapFrac float64
-	// Layout is the N-P-S percentage split; empty means "45-10-45".
-	Layout string
-	// Threshold is the probation promotion threshold; zero means 1.
-	Threshold uint64
-	// Tiers, when set, replays an arbitrary tier graph (core.ParseTierSpec).
-	Tiers string
-	// Policy applies a local-policy spec to tiers that don't name one.
-	Policy string
-	// SelEpoch overrides the online policy-selector epoch.
-	SelEpoch uint64
-	// Unified replays the single pseudo-circular baseline.
-	Unified bool
-	// Adaptive attaches the adaptive split controller.
-	Adaptive bool
-	// AdaptEpoch overrides the adaptive controller's decision epoch.
-	AdaptEpoch uint64
-	// Pressure is the load pressure in [0, 1] the session starts under.
-	// Callers must pass the same value to ServeSession and the verifying
-	// OfflineReplay, or the adaptive controller will decide differently.
-	Pressure float64
-	// Attrib attaches the attribution ledger: the result carries per-cause
-	// miss counts and the session folds into the server's /v1/attrib
-	// aggregate. The ledger only observes, so replay counters are unchanged.
-	Attrib bool
-	// Tenant is the opaque session label (?session=, ≤64 bytes): attribution
-	// folds into the tenant's aggregate as well as the server-wide one. It
-	// never influences the replay.
-	Tenant string
-}
-
-func (c SessionConfig) params() sessionParams {
-	p := sessionParams{
-		capacity:   c.CapacityBytes,
-		capFrac:    c.CapFrac,
-		layout:     c.Layout,
-		threshold:  c.Threshold,
-		tiers:      c.Tiers,
-		policy:     c.Policy,
-		selEpoch:   c.SelEpoch,
-		unified:    c.Unified,
-		adaptive:   c.Adaptive,
-		adaptEpoch: c.AdaptEpoch,
-		pressure:   c.Pressure,
-		attrib:     c.Attrib,
-		tenant:     c.Tenant,
-	}
-	if p.capFrac == 0 {
-		p.capFrac = 0.5
-	}
-	if p.layout == "" {
-		p.layout = "45-10-45"
-	}
-	if p.threshold == 0 {
-		p.threshold = 1
-	}
-	return p
-}
-
-// Query renders the configuration as POST /v1/sessions query parameters, so
-// an HTTP client and an in-process caller express one configuration the
-// same way. Pressure uses the round-trippable float formatting the server
-// parses back exactly.
-func (c SessionConfig) Query() string {
-	var b bytes.Buffer
-	add := func(k, v string) {
-		if b.Len() > 0 {
-			b.WriteByte('&')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(v)
-	}
-	if c.CapacityBytes > 0 {
-		add(api.ParamCapacity, formatUint(c.CapacityBytes))
-	}
-	if c.CapFrac > 0 && c.CapFrac != 0.5 {
-		add(api.ParamCapFrac, formatFloat(c.CapFrac))
-	}
-	if c.Layout != "" && c.Layout != "45-10-45" {
-		add(api.ParamLayout, c.Layout)
-	}
-	if c.Threshold > 1 {
-		add(api.ParamThreshold, formatUint(c.Threshold))
-	}
-	if c.Tiers != "" {
-		add(api.ParamTiers, c.Tiers)
-	}
-	if c.Policy != "" {
-		add(api.ParamPolicy, c.Policy)
-	}
-	if c.SelEpoch > 0 {
-		add(api.ParamSelEpoch, formatUint(c.SelEpoch))
-	}
-	if c.Unified {
-		add(api.ParamUnified, "1")
-	}
-	if c.Adaptive {
-		add(api.ParamAdaptive, "1")
-	}
-	if c.AdaptEpoch > 0 {
-		add(api.ParamAdaptEpoch, formatUint(c.AdaptEpoch))
-	}
-	if c.Pressure > 0 {
-		add(api.ParamPressure, formatFloat(c.Pressure))
-	}
-	if c.Attrib {
-		add(api.ParamAttrib, "1")
-	}
-	if c.Tenant != "" {
-		add(api.ParamSession, c.Tenant)
-	}
-	return b.String()
-}
+// SessionConfig is a session's replay configuration; api.SessionConfig is
+// the type, this name stays for existing callers.
+type SessionConfig = api.SessionConfig
 
 // ServeSession runs one session synchronously on the caller's goroutine:
 // open, replay, publish/adopt against the shared tier, close. It is the
 // in-process equivalent of POST /v1/sessions minus admission — the caller
 // owns admission (the day engine decides admit/queue/reject on its virtual
-// clock before ever calling this).
+// clock before ever calling this). There is no event stream, so
+// cfg.Events is ignored.
 func (s *Server) ServeSession(cfg SessionConfig, logData []byte) (api.SessionResult, error) {
-	p := cfg.params()
+	cfg.Events = false
 	sess, err := s.sys.OpenSession()
 	if err != nil {
 		s.recordFailure()
 		return api.SessionResult{}, err
 	}
 	defer sess.Close()
-	sr, capacity, err := s.runSession(p, sess, bytes.NewReader(logData), nil)
+	sr, capacity, err := s.runSession(cfg, sess, bytes.NewReader(logData), nil)
 	if err != nil {
 		s.recordFailure()
 		return api.SessionResult{}, err
 	}
-	res := sr.rep.Finish()
-	out := api.FromSim(res)
-	out.Session = sess.ID()
-	out.CapacityBytes = capacity
-	out.Events = sr.rep.Events()
-	out.Shared = api.SharedSavings{
-		Adoptions:            sr.adoptions,
-		Published:            sr.published,
-		PeerAdoptions:        sr.peerAdoptions,
-		SavedGenInstructions: sr.savedGen,
-	}
-	if sr.led != nil {
-		snap := sr.led.Snapshot()
-		out.Causes = causeCounts(snap)
-		s.attrib.Add(snap)
-		if p.tenant != "" {
-			s.tenantAggregate(p.tenant).Add(snap)
-		}
-	}
-	s.recordResult(out, uint64(len(logData)))
-	sr.recycle()
-	return out, nil
+	return s.finishSession(sr, cfg.Tenant, capacity, uint64(len(logData))), nil
 }
 
 // OfflineReplay replays a log against a fully private manager built from
@@ -193,74 +50,23 @@ func (s *Server) ServeSession(cfg SessionConfig, logData []byte) (api.SessionRes
 // Shared fields are zero, and everything else must match the served result
 // bit-for-bit. A nil model selects costmodel.DefaultModel.
 func OfflineReplay(cfg SessionConfig, model *costmodel.Model, logData []byte) (api.SessionResult, error) {
-	p := cfg.params()
 	m := costmodel.DefaultModel
 	if model != nil {
 		m = *model
 	}
-	lr, err := tracelog.NewReader(bytes.NewReader(logData))
+	rep, capacity, err := replay(cfg, bytes.NewReader(logData), func(bench string, capacity uint64) (*sim.Replayer, error) {
+		return newReplay(cfg, bench, capacity, m, 0, nil, nil)
+	})
 	if err != nil {
 		return api.SessionResult{}, err
 	}
-	// Decode every block up front; the offline path has no reason to stream.
-	z := tracelog.NewSummarizer(lr.Header())
-	var blocks []*tracelog.EventBlock
-	defer func() {
-		for _, b := range blocks {
-			tracelog.PutBlock(b)
-		}
-	}()
-	var total uint64
-	for {
-		b := tracelog.GetBlock()
-		derr := lr.NextBlock(b)
-		z.AddBlock(b)
-		total += uint64(b.N)
-		blocks = append(blocks, b)
-		if errors.Is(derr, io.EOF) {
-			break
-		}
-		if derr != nil {
-			return api.SessionResult{}, derr
-		}
-	}
-	capacity := p.capacity
-	if capacity == 0 {
-		capacity = uint64(float64(z.Summary().MaxLiveBytes) * p.capFrac)
-		if capacity == 0 {
-			return api.SessionResult{}, errors.New("log has no live trace bytes to size a cache from")
-		}
-	}
-	acc := accPool.Get().(*costmodel.Accum)
-	acc.Reset(m)
-	mgr, err := p.buildManager(capacity, acc, nil)
-	if err != nil {
-		accPool.Put(acc)
-		return api.SessionResult{}, err
-	}
-	if p.pressure > 0 {
-		if lp, ok := mgr.(interface{ SetLoadPressure(float64) }); ok {
-			lp.SetLoadPressure(p.pressure)
-		}
-	}
-	rep := sim.NewReplayer(lr.Header().Benchmark, mgr, acc, nil)
-	rep.SetTotal(total)
-	for _, b := range blocks {
-		if err := rep.StepBlock(b); err != nil {
-			return api.SessionResult{}, err
-		}
-	}
-	res := rep.Finish()
-	out := api.FromSim(res)
+	out := api.FromSim(rep.Finish())
 	out.CapacityBytes = capacity
 	out.Events = rep.Events()
 	if led := rep.Ledger(); led != nil {
 		out.Causes = causeCounts(led.Snapshot())
 	}
-	if ov := rep.Result(); ov.Overhead != nil {
-		accPool.Put(ov.Overhead)
-	}
-	rep.Recycle()
+	recycle(rep)
 	return out, nil
 }
 
@@ -283,9 +89,3 @@ func ResultsEquivalent(served, offline api.SessionResult) bool {
 	offline.Causes.AdoptionMiss, offline.Causes.RemoteAdoption = 0, 0
 	return served == offline
 }
-
-func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }
-
-// formatFloat renders a float so that strconv.ParseFloat returns the exact
-// same value — the round-trip the pressure parameter depends on.
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

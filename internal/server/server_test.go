@@ -135,7 +135,7 @@ func TestConcurrentSessionsMatchOffline(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			data := syntheticLog(t, benches[i%len(benches)])
-			results[i], errs[i] = c.Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
+			results[i], errs[i] = c.Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 		}(i)
 	}
 	wg.Wait()
@@ -163,7 +163,7 @@ func TestAdoptionAcrossSessions(t *testing.T) {
 	_, c := newTestServer(t, server.Config{KeepWarm: true})
 	ctx := context.Background()
 
-	first, err := c.Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
+	first, err := c.Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestAdoptionAcrossSessions(t *testing.T) {
 		t.Fatal("first session published nothing; cannot test adoption")
 	}
 
-	second, err := c.Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
+	second, err := c.Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +193,33 @@ func TestOverloadRejectsWithoutDegrading(t *testing.T) {
 	_, c := newTestServer(t, server.Config{MaxSessions: 1, QueueDepth: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	release := holdSessions(ctx, t, c, 2)
 
-	const hold = 2
-	release := make(chan struct{})
+	for i := 0; i < 3; i++ {
+		_, err := c.Session(ctx, api.SessionConfig{CapacityBytes: 1 << 20}, bytes.NewReader(nil))
+		if !errors.Is(err, client.ErrOverloaded) {
+			t.Fatalf("probe %d on a saturated server: err = %v, want ErrOverloaded", i, err)
+		}
+	}
+
+	for _, err := range release() {
+		if err != nil {
+			t.Errorf("held session degraded: %v", err)
+		}
+	}
+}
+
+// holdSessions opens hold streaming sessions whose bodies stall after the
+// log header, and waits until the server reports them all running or
+// queued. release lets the held logs end and returns each session's error.
+func holdSessions(ctx context.Context, t *testing.T, c *client.Client, hold int) (release func() []error) {
+	t.Helper()
+	done := make(chan struct{})
 	results := make(chan error, hold)
 	for i := 0; i < hold; i++ {
 		pr, pw := io.Pipe()
 		go func() {
-			res, err := c.Session(ctx, client.SessionOptions{CapacityBytes: 1 << 20}, pr)
+			res, err := c.Session(ctx, api.SessionConfig{CapacityBytes: 1 << 20}, pr)
 			pr.Close()
 			// The held log carries only its KindEnd marker.
 			if err == nil && res.Events > 1 {
@@ -214,7 +233,7 @@ func TestOverloadRejectsWithoutDegrading(t *testing.T) {
 				err = w.Flush()
 			}
 			if err == nil {
-				<-release
+				<-done
 				if werr := w.Write(tracelog.Event{Kind: tracelog.KindEnd}); werr == nil {
 					err = w.Flush()
 				}
@@ -222,34 +241,29 @@ func TestOverloadRejectsWithoutDegrading(t *testing.T) {
 			pw.CloseWithError(err)
 		}()
 	}
+	release = func() []error {
+		close(done)
+		errs := make([]error, hold)
+		for i := range errs {
+			errs[i] = <-results
+		}
+		return errs
+	}
 
-	// Wait until both held sessions occupy the slot and the queue position.
 	for {
 		h, err := c.Health(ctx)
 		if err != nil {
+			release()
 			t.Fatal(err)
 		}
 		if h.ActiveSessions+h.QueuedSessions >= hold {
-			break
+			return release
 		}
 		select {
 		case <-ctx.Done():
+			release()
 			t.Fatalf("server never saturated: %v", ctx.Err())
 		case <-time.After(10 * time.Millisecond):
-		}
-	}
-
-	for i := 0; i < 3; i++ {
-		_, err := c.Session(ctx, client.SessionOptions{CapacityBytes: 1 << 20}, bytes.NewReader(nil))
-		if !errors.Is(err, client.ErrOverloaded) {
-			t.Fatalf("probe %d on a saturated server: err = %v, want ErrOverloaded", i, err)
-		}
-	}
-
-	close(release)
-	for i := 0; i < hold; i++ {
-		if err := <-results; err != nil {
-			t.Errorf("held session degraded: %v", err)
 		}
 	}
 }
@@ -265,7 +279,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 
 	srv1, c1 := newTestServer(t, server.Config{SnapshotPath: snap, KeepWarm: true})
-	res, err := c1.Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
+	res, err := c1.Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +300,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := srv2.WarmStats().Restored; got == 0 {
 		t.Fatal("successor restored nothing from the snapshot")
 	}
-	res2, err := c2.Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
+	res2, err := c2.Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +342,7 @@ func TestStaleSnapshotSkipped(t *testing.T) {
 func TestTeardownDrainsSharedTier(t *testing.T) {
 	data := syntheticLog(t, "word")
 	srv, c := newTestServer(t, server.Config{KeepWarm: false})
-	res, err := c.Session(context.Background(), client.SessionOptions{}, bytes.NewReader(data))
+	res, err := c.Session(context.Background(), api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +362,7 @@ func TestTeardownDrainsSharedTier(t *testing.T) {
 func TestKeepWarmOutlivesSessions(t *testing.T) {
 	data := syntheticLog(t, "word")
 	srv, c := newTestServer(t, server.Config{KeepWarm: true})
-	res, err := c.Session(context.Background(), client.SessionOptions{}, bytes.NewReader(data))
+	res, err := c.Session(context.Background(), api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +437,7 @@ func TestDrainingRefusesSessions(t *testing.T) {
 	srv, c := newTestServer(t, server.Config{})
 	srv.StartDraining()
 	ctx := context.Background()
-	_, err := c.Session(ctx, client.SessionOptions{}, bytes.NewReader(syntheticLog(t, "word")))
+	_, err := c.Session(ctx, api.SessionConfig{}, bytes.NewReader(syntheticLog(t, "word")))
 	if !errors.Is(err, client.ErrDraining) {
 		t.Fatalf("session on a draining server: err = %v, want ErrDraining", err)
 	}
@@ -485,7 +499,7 @@ func TestBodyLimit(t *testing.T) {
 func TestMetricsExposed(t *testing.T) {
 	_, c := newTestServer(t, server.Config{})
 	ctx := context.Background()
-	if _, err := c.Session(ctx, client.SessionOptions{}, bytes.NewReader(syntheticLog(t, "word"))); err != nil {
+	if _, err := c.Session(ctx, api.SessionConfig{}, bytes.NewReader(syntheticLog(t, "word"))); err != nil {
 		t.Fatal(err)
 	}
 	text, err := c.Metrics(ctx)
@@ -514,11 +528,12 @@ func TestBinaryStatsMatchesJSON(t *testing.T) {
 	_, c := newTestServer(t, server.Config{MaxSessions: 2})
 	ctx := context.Background()
 
-	jsonRes, err := c.Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
+	jsonRes, err := c.Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	binRes, err := c.Session(ctx, client.SessionOptions{BinaryStats: true}, bytes.NewReader(data))
+	c.BinaryStats = true
+	binRes, err := c.Session(ctx, api.SessionConfig{}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

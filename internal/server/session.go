@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"repro/internal/attrib"
@@ -21,174 +20,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tracelog"
 )
-
-// sessionParams is the parsed query-string configuration of one session.
-type sessionParams struct {
-	capacity   uint64 // absolute bytes; >0 selects the streaming path
-	capFrac    float64
-	layout     string
-	threshold  uint64
-	tiers      string
-	policy     string
-	selEpoch   uint64
-	unified    bool
-	events     bool
-	adaptive   bool
-	adaptEpoch uint64
-	pressure   float64 // initial load pressure for the adaptive controller
-	attrib     bool    // attach the attribution ledger
-	tenant     string  // opaque session label for per-tenant attribution
-}
-
-// maxTenantLen bounds the ?session= label; it is an opaque key into the
-// per-tenant attribution map, not a payload.
-const maxTenantLen = 64
-
-func parseParams(r *http.Request) (sessionParams, error) {
-	p := sessionParams{capFrac: 0.5, layout: "45-10-45", threshold: 1}
-	q := r.URL.Query()
-	if v := q.Get(api.ParamCapacity); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			return p, fmt.Errorf("bad %s %q", api.ParamCapacity, v)
-		}
-		p.capacity = n
-	}
-	if v := q.Get(api.ParamCapFrac); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 || f > 16 {
-			return p, fmt.Errorf("bad %s %q", api.ParamCapFrac, v)
-		}
-		p.capFrac = f
-	}
-	if v := q.Get(api.ParamLayout); v != "" {
-		if _, err := api.ParseLayout(v); err != nil {
-			return p, err
-		}
-		p.layout = v
-	}
-	if v := q.Get(api.ParamThreshold); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return p, fmt.Errorf("bad %s %q", api.ParamThreshold, v)
-		}
-		p.threshold = n
-	}
-	p.tiers = q.Get(api.ParamTiers)
-	if v := q.Get(api.ParamPolicy); v != "" {
-		// Reject unknown policies before admission; a one-tier probe spec
-		// exercises the same validation the manager build will.
-		probe := core.UnifiedSpec(1, nil)
-		probe.Tiers[0].Policy = v
-		if err := probe.Validate(); err != nil {
-			return p, fmt.Errorf("bad %s %q: %w", api.ParamPolicy, v, err)
-		}
-		p.policy = v
-	}
-	if v := q.Get(api.ParamSelEpoch); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			return p, fmt.Errorf("bad %s %q", api.ParamSelEpoch, v)
-		}
-		p.selEpoch = n
-	}
-	if v := q.Get(api.ParamAdaptEpoch); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			return p, fmt.Errorf("bad %s %q", api.ParamAdaptEpoch, v)
-		}
-		p.adaptEpoch = n
-	}
-	if v := q.Get(api.ParamPressure); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 || f > 1 {
-			return p, fmt.Errorf("bad %s %q", api.ParamPressure, v)
-		}
-		p.pressure = f
-	}
-	if v := q.Get(api.ParamSession); v != "" {
-		if len(v) > maxTenantLen {
-			return p, fmt.Errorf("bad %s: label longer than %d bytes", api.ParamSession, maxTenantLen)
-		}
-		p.tenant = v
-	}
-	for name, dst := range map[string]*bool{api.ParamUnified: &p.unified, api.ParamEvents: &p.events, api.ParamAdaptive: &p.adaptive, api.ParamAttrib: &p.attrib} {
-		if v := q.Get(name); v != "" {
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return p, fmt.Errorf("bad %s %q", name, v)
-			}
-			*dst = b
-		}
-	}
-	return p, nil
-}
-
-// buildManager constructs the session's private manager exactly as offline
-// ccsim would for the same flags, with the same observer topology the cost
-// accounting depends on.
-func (p sessionParams) buildManager(capacity uint64, acc *costmodel.Accum, extra obs.Observer) (core.Manager, error) {
-	o := obs.Combine(sim.CostObserver(acc), extra)
-	if p.unified {
-		if p.policy == "" && !p.adaptive && !p.attrib {
-			return core.NewUnified(capacity, nil, o), nil
-		}
-		spec := core.UnifiedSpec(capacity, nil)
-		p.applySpec(&spec)
-		return core.NewGraph(spec, o)
-	}
-	if p.tiers != "" {
-		spec, err := core.ParseTierSpec(p.tiers, capacity)
-		if err != nil {
-			return nil, err
-		}
-		p.applySpec(&spec)
-		return core.NewGraph(spec, o)
-	}
-	fracs, err := api.ParseLayout(p.layout)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{
-		TotalCapacity:    capacity,
-		NurseryFrac:      fracs[0],
-		ProbationFrac:    fracs[1],
-		PersistentFrac:   fracs[2],
-		PromoteThreshold: p.threshold,
-		PromoteOnAccess:  p.threshold <= 1,
-	}
-	// NewGenerational is NewGraph over cfg.GraphSpec(), so the attrib branch
-	// below replays counter-identically — the ledger only observes.
-	if p.policy == "" && !p.adaptive && !p.attrib {
-		return core.NewGenerational(cfg, o)
-	}
-	spec := cfg.GraphSpec()
-	p.applySpec(&spec)
-	return core.NewGraph(spec, o)
-}
-
-// applySpec fills the policy param into every tier not already naming one
-// and attaches the selector-epoch and adaptive-controller overrides.
-func (p sessionParams) applySpec(spec *core.GraphSpec) {
-	if p.policy != "" {
-		for i := range spec.Tiers {
-			if spec.Tiers[i].Policy == "" {
-				spec.Tiers[i].Policy = p.policy
-			}
-		}
-	}
-	if p.selEpoch > 0 {
-		spec.Selector = &core.SelectorConfig{Epoch: p.selEpoch}
-	}
-	if p.adaptive {
-		spec.Adaptive = &core.AdaptiveConfig{Epoch: p.adaptEpoch}
-	}
-	if p.attrib {
-		// Cause events reach the NDJSON stream only in events mode; a plain
-		// attrib session aggregates silently.
-		spec.Attrib = &attrib.Config{EmitEvents: p.events}
-	}
-}
 
 // countingReader tallies how many body bytes a session consumed.
 type countingReader struct {
@@ -503,7 +334,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	p, err := parseParams(r)
+	cfg, err := api.ParseSessionQuery(r.URL.Query())
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -534,7 +365,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxSessionBytes)}
 
 	var enc *ndjsonWriter
-	if p.events {
+	if cfg.Events {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc = newNDJSONWriter(w)
 		// Shared-tier events caused by this session's publishes, adoptions,
@@ -547,34 +378,13 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		defer s.router.detach(sess.ID())
 	}
 
-	sr, capacity, err := s.runSession(p, sess, body, enc)
+	sr, capacity, err := s.runSession(cfg, sess, body, enc)
 	if err != nil {
 		s.recordFailure()
 		s.failSession(w, enc, err)
 		return
 	}
-
-	res := sr.rep.Finish()
-	out := api.FromSim(res)
-	out.Session = sess.ID()
-	out.CapacityBytes = capacity
-	out.Events = sr.rep.Events()
-	out.Shared = api.SharedSavings{
-		Adoptions:            sr.adoptions,
-		Published:            sr.published,
-		PeerAdoptions:        sr.peerAdoptions,
-		SavedGenInstructions: sr.savedGen,
-	}
-	if sr.led != nil {
-		snap := sr.led.Snapshot()
-		out.Causes = causeCounts(snap)
-		s.attrib.Add(snap)
-		if p.tenant != "" {
-			s.tenantAggregate(p.tenant).Add(snap)
-		}
-	}
-	s.recordResult(out, body.n)
-	sr.recycle() // out is a value copy; the run's pooled scratch is done
+	out := s.finishSession(sr, cfg.Tenant, capacity, body.n)
 
 	if enc != nil {
 		enc.write(api.StreamLine{Result: &out})
@@ -594,22 +404,77 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// runSession decodes the body and drives the replay through the batched
-// kernel, returning the completed run and the capacity it simulated. Both
-// paths share one incremental decode loop (NextBlock); they differ only in
-// whether decoded blocks replay immediately (streaming, absolute capacity)
-// or are retained until the Summarizer has sized the cache (buffered,
-// fractional capacity — exactly offline ccsim's procedure, without ccsim's
-// full []Event materialization).
-func (s *Server) runSession(p sessionParams, sess *dbt.Session, body io.Reader, enc *ndjsonWriter) (*sessionRun, uint64, error) {
+// runSession replays the body as session sess: the private replay (built
+// exactly as OfflineReplay builds it) plus the shared-tier interplay.
+func (s *Server) runSession(cfg api.SessionConfig, sess *dbt.Session, body io.Reader, enc *ndjsonWriter) (*sessionRun, uint64, error) {
+	var sr *sessionRun
+	_, capacity, err := replay(cfg, body, func(bench string, capacity uint64) (*sim.Replayer, error) {
+		sr = newSessionRun(s, sess, bench, enc)
+		// The replay progress observer is attached only in events mode:
+		// without one the kernel takes its counter-only fast path, and
+		// nothing else consumes progress events.
+		var progress obs.Observer
+		if enc != nil {
+			progress = obs.Func(sr.observe)
+		}
+		rep, err := newReplay(cfg, bench, capacity, s.model, sess.ID(),
+			obs.Combine(s.counter, obs.Func(s.trackPolicy), obs.Func(sr.observe)), progress)
+		if err != nil {
+			return nil, err
+		}
+		sr.rep = rep
+		sr.rep.SetHooks(sr)
+		sr.led = sr.rep.Ledger()
+		return rep, nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return sr, capacity, nil
+}
+
+// finishSession closes a completed run into its wire result and folds it
+// into the server's counters and attribution aggregates.
+func (s *Server) finishSession(sr *sessionRun, tenant string, capacity, bodyBytes uint64) api.SessionResult {
+	out := api.FromSim(sr.rep.Finish())
+	out.Session = sr.sess.ID()
+	out.CapacityBytes = capacity
+	out.Events = sr.rep.Events()
+	out.Shared = api.SharedSavings{
+		Adoptions:            sr.adoptions,
+		Published:            sr.published,
+		PeerAdoptions:        sr.peerAdoptions,
+		SavedGenInstructions: sr.savedGen,
+	}
+	if sr.led != nil {
+		snap := sr.led.Snapshot()
+		out.Causes = causeCounts(snap)
+		s.attrib.Add(snap)
+		if tenant != "" {
+			s.tenantAggregate(tenant).Add(snap)
+		}
+	}
+	s.recordResult(out, bodyBytes)
+	recycle(sr.rep) // out is a value copy; the run's pooled scratch is done
+	return out
+}
+
+// replay decodes a tracelog body and drives it through the batched kernel.
+// start builds the replayer once the capacity is known. An absolute
+// capacity is known up front, so blocks replay as they decode off the wire;
+// a fractional one is a share of the log's unbounded peak, so the whole log
+// is decoded first and the decoded blocks are retained (pooled,
+// struct-of-arrays) while the Summarizer scans them — offline ccsim's
+// procedure without a second decode or a full event-slice buffer.
+func replay(cfg api.SessionConfig, body io.Reader, start func(bench string, capacity uint64) (*sim.Replayer, error)) (*sim.Replayer, uint64, error) {
 	lr, err := tracelog.NewReader(body)
 	if err != nil {
 		return nil, 0, err
 	}
+	bench := lr.Header().Benchmark
 
-	if p.capacity > 0 {
-		// Streaming: blocks replay as they decode off the wire.
-		sr, err := s.startRun(p, sess, lr.Header().Benchmark, p.capacity, enc)
+	if cfg.CapacityBytes > 0 {
+		rep, err := start(bench, cfg.CapacityBytes)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -618,12 +483,12 @@ func (s *Server) runSession(p sessionParams, sess *dbt.Session, body io.Reader, 
 		for {
 			derr := lr.NextBlock(b)
 			if b.N > 0 {
-				if err := sr.rep.StepBlock(b); err != nil {
+				if err := rep.StepBlock(b); err != nil {
 					return nil, 0, err
 				}
 			}
 			if errors.Is(derr, io.EOF) {
-				return sr, p.capacity, nil
+				return rep, cfg.CapacityBytes, nil
 			}
 			if derr != nil {
 				return nil, 0, derr
@@ -631,11 +496,6 @@ func (s *Server) runSession(p sessionParams, sess *dbt.Session, body io.Reader, 
 		}
 	}
 
-	// Buffered: the capacity is a fraction of the log's unbounded peak, so
-	// the whole log must be decoded before the first replay step. The
-	// decoded blocks are retained (pooled, struct-of-arrays) and the
-	// Summarizer scans them incrementally — no second decode, no full
-	// event-slice buffer.
 	z := tracelog.NewSummarizer(lr.Header())
 	var blocks []*tracelog.EventBlock
 	defer func() {
@@ -657,69 +517,56 @@ func (s *Server) runSession(p sessionParams, sess *dbt.Session, body io.Reader, 
 			return nil, 0, derr
 		}
 	}
-	capacity := uint64(float64(z.Summary().MaxLiveBytes) * p.capFrac)
-	if capacity == 0 {
-		return nil, 0, fmt.Errorf("log has no live trace bytes to size a cache from")
-	}
-	sr, err := s.startRun(p, sess, lr.Header().Benchmark, capacity, enc)
+	capacity, err := cfg.Capacity(z.Summary().MaxLiveBytes)
 	if err != nil {
 		return nil, 0, err
 	}
-	sr.rep.SetTotal(total)
+	rep, err := start(bench, capacity)
+	if err != nil {
+		return nil, 0, err
+	}
+	rep.SetTotal(total)
 	for _, b := range blocks {
-		if err := sr.rep.StepBlock(b); err != nil {
+		if err := rep.StepBlock(b); err != nil {
 			return nil, 0, err
 		}
 	}
-	return sr, capacity, nil
+	return rep, capacity, nil
 }
 
-// accPool recycles cost accumulators across sessions; startRun draws one,
-// recycleRun returns it with the rest of the replay scratch.
+// accPool recycles cost accumulators across replays; newReplay draws one,
+// recycle returns it with the rest of the replay scratch.
 var accPool = sync.Pool{New: func() any { return new(costmodel.Accum) }}
 
-// startRun builds the private manager and replayer for a session. The
-// replay progress observer is attached only in events mode: without one the
-// kernel takes its counter-only fast path, and nothing else consumes
-// progress events.
-func (s *Server) startRun(p sessionParams, sess *dbt.Session, bench string, capacity uint64, enc *ndjsonWriter) (*sessionRun, error) {
-	sr := newSessionRun(s, sess, bench, enc)
+// newReplay builds the private manager cfg describes over capacity bytes
+// as process proc, under cfg's load pressure, charging a pooled accumulator
+// under model, and starts a replay of it. extra sees the manager's events
+// and progress the replay's progress; either may be nil.
+func newReplay(cfg api.SessionConfig, bench string, capacity uint64, model costmodel.Model, proc int, extra, progress obs.Observer) (*sim.Replayer, error) {
+	spec, err := cfg.GraphSpec(capacity)
+	if err != nil {
+		return nil, err
+	}
 	acc := accPool.Get().(*costmodel.Accum)
-	acc.Reset(s.model)
-	mgr, err := p.buildManager(capacity, acc, obs.Combine(s.counter, obs.Func(s.trackPolicy), obs.Func(sr.observe)))
+	acc.Reset(model)
+	mgr, err := core.NewGraph(spec, obs.Combine(sim.CostObserver(acc), extra))
 	if err != nil {
 		accPool.Put(acc)
 		return nil, err
 	}
-	if pm, ok := mgr.(interface{ SetProcID(int) }); ok {
-		pm.SetProcID(sess.ID())
-	}
-	if p.pressure > 0 {
-		// The pressure the session was admitted under is part of its
-		// configuration: an offline verification replay passes the same
-		// value, so the adaptive controller decides identically.
-		if lp, ok := mgr.(interface{ SetLoadPressure(float64) }); ok {
-			lp.SetLoadPressure(p.pressure)
-		}
-	}
-	var po obs.Observer
-	if enc != nil {
-		po = obs.Func(sr.observe)
-	}
-	sr.rep = sim.NewReplayer(bench, mgr, acc, po)
-	sr.rep.SetHooks(sr)
-	sr.led = sr.rep.Ledger()
-	return sr, nil
+	mgr.SetProcID(proc)
+	mgr.SetLoadPressure(cfg.Pressure)
+	return sim.NewReplayer(bench, mgr, acc, progress), nil
 }
 
-// recycle returns a finished run's pooled scratch — the replayer's meta
-// tables and the cost accumulator. Only safe once the response has been
-// built: the wire result is a value copy, nothing references the pools.
-func (sr *sessionRun) recycle() {
-	if res := sr.rep.Result(); res.Overhead != nil {
+// recycle returns a finished replay's pooled scratch — the replayer's meta
+// tables and the cost accumulator. Only safe once the result has been
+// copied out: nothing may reference the pools afterwards.
+func recycle(rep *sim.Replayer) {
+	if res := rep.Result(); res.Overhead != nil {
 		accPool.Put(res.Overhead)
 	}
-	sr.rep.Recycle()
+	rep.Recycle()
 }
 
 // failSession reports a terminal session error in whichever framing the

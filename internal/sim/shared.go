@@ -69,15 +69,18 @@ type sharedProc struct {
 // a process to a peer's published ID instead. Processes are interleaved
 // round-robin, with process p admitted after p×stagger total events
 // (stagger ≤ 0 picks len(events)/(2×procs), which overlaps every process
-// while still letting earlier ones warm the tier). The schedule is fixed,
-// so results are deterministic.
-func ReplayShared(benchmark string, events []tracelog.Event, cfg core.Config, model costmodel.Model, procs, stagger int, o obs.Observer) (SharedResult, error) {
+// while still letting earlier ones warm the tier). The spec's final tier is
+// the shared one: every process keeps private copies of the others, and its
+// fraction of TotalCapacity is each process's share of the pooled tier. The
+// schedule is fixed, so results are deterministic.
+func ReplayShared(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model, procs, stagger int, o obs.Observer) (SharedResult, error) {
 	if procs < 1 {
 		return SharedResult{}, fmt.Errorf("sim: shared replay needs at least 1 process, got %d", procs)
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return SharedResult{}, err
 	}
+	last := len(spec.Tiers) - 1
 	if stagger <= 0 {
 		stagger = len(events) / (2 * procs)
 	}
@@ -86,7 +89,7 @@ func ReplayShared(benchmark string, events []tracelog.Event, cfg core.Config, mo
 	// The tier pools the N per-process persistent shares into one arena:
 	// aggregate memory matches N isolated caches, but traces common across
 	// processes occupy it once.
-	spCap := uint64(procs) * uint64(float64(cfg.TotalCapacity)*cfg.PersistentFrac)
+	spCap := uint64(procs) * uint64(float64(spec.TotalCapacity)*spec.Tiers[last].Frac)
 	if spCap == 0 {
 		spCap = 1
 	}
@@ -99,7 +102,7 @@ func ReplayShared(benchmark string, events []tracelog.Event, cfg core.Config, mo
 	}
 	ps := make([]*sharedProc, procs)
 	for p := range ps {
-		mgr, err := core.NewGenerationalShared(cfg, sp, p, mgrObs)
+		mgr, err := core.NewGraphShared(spec, sp, p, mgrObs)
 		if err != nil {
 			return SharedResult{}, err
 		}
@@ -112,8 +115,9 @@ func ReplayShared(benchmark string, events []tracelog.Event, cfg core.Config, mo
 	res.Config = ps[0].mgr.Name()
 	res.CapacityBytes = spCap
 	for range ps {
-		res.CapacityBytes += uint64(float64(cfg.TotalCapacity) * cfg.NurseryFrac)
-		res.CapacityBytes += uint64(float64(cfg.TotalCapacity) * cfg.ProbationFrac)
+		for _, t := range spec.Tiers[:last] {
+			res.CapacityBytes += uint64(float64(spec.TotalCapacity) * t.Frac)
+		}
 	}
 
 	// One shared metadata table: every process replays the same stream, so

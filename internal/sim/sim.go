@@ -385,18 +385,12 @@ func ReplayUnifiedObserved(benchmark string, events []tracelog.Event, capacity u
 // ReplayGenerational is a convenience: replay under a generational manager
 // with the given configuration.
 func ReplayGenerational(benchmark string, events []tracelog.Event, cfg core.Config, model costmodel.Model) (Result, error) {
-	return ReplayGenerationalObserved(benchmark, events, cfg, model, nil)
-}
-
-// ReplayGenerationalObserved is ReplayGenerational with the manager's full
-// event stream (and replay progress) additionally fanned out to o.
-func ReplayGenerationalObserved(benchmark string, events []tracelog.Event, cfg core.Config, model costmodel.Model, o obs.Observer) (Result, error) {
 	acc := costmodel.NewAccum(model)
-	mgr, err := core.NewGenerational(cfg, obs.Combine(CostObserver(acc), o))
+	mgr, err := core.NewGenerational(cfg, CostObserver(acc))
 	if err != nil {
 		return Result{}, err
 	}
-	return ReplayObserved(benchmark, events, mgr, acc, o)
+	return ReplayObserved(benchmark, events, mgr, acc, nil)
 }
 
 // ReplayGraph is a convenience: replay under an arbitrary tier graph

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 gate (same as `make ci`): vet, build, and the full test suite under
-# the race detector. The experiment pipeline runs replays on a worker pool,
-# so -race is part of the gate, not an optional extra.
+# Tier-1 gate; `make ci` runs this script. Formatting, vet, build, the full
+# test suite under the race detector (the experiment pipeline runs replays
+# on a worker pool, so -race is part of the gate, not an optional extra),
+# then the benchmark, fuzz and end-to-end smokes.
 set -eux
 
 # Formatting gate: gofmt -l prints offending files; any output fails the CI.
@@ -52,6 +53,9 @@ make attrib-smoke
 # Attribution endpoint fuzz: a short run over the /v1/attrib query parser —
 # seeds the corpus, catches panics and half-validated filters.
 go test ./internal/server -run '^$' -fuzz FuzzAttribQuery -fuzztime 10s
+# Session query fuzz: a short run over the POST /v1/sessions decoder — every
+# accepted query must build a tier graph and round-trip through Query.
+go test ./internal/server/api -run '^$' -fuzz FuzzSessionQuery -fuzztime 10s
 # Trace-exchange wire fuzz: a short run over every exchange message codec —
 # decoders must reject malformed frames and round-trip well-formed ones.
 go test ./internal/cluster -run '^$' -fuzz FuzzWire -fuzztime 10s
