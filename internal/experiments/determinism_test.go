@@ -113,6 +113,7 @@ func TestPolicySelectionDeterministicAcrossParallelism(t *testing.T) {
 	if switches == 0 {
 		t.Error("selector applied no switches at this scale; test exercises nothing")
 	}
+	pin(t, "PolicySelection", "18ae6849b47979198de47887422b8470b4a52c36b807e76912227489f081a834", dumpPolicySelection(seq))
 }
 
 // TestAdaptiveDeterministicAcrossParallelism extends the gate to the
@@ -161,4 +162,5 @@ func TestAdaptiveDeterministicAcrossParallelism(t *testing.T) {
 	if resizes == 0 {
 		t.Error("controller applied no resizes at this scale; test exercises nothing")
 	}
+	pin(t, "AdaptiveVsStatic", "f4b65bf0ffb9f27452cb465739ec663b4fa063d8f4fbbbe086e73f7a5c518b99", dumpAdaptive(seq))
 }

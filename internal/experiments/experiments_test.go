@@ -194,6 +194,7 @@ func TestFigure9And10(t *testing.T) {
 	if RenderFigure9(res) == "" || RenderFigure10(res) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Figure9", "67164a763ea3c6a7a97723d59f8048fb16bb6dfad70f424b8d2d544e43840877", dumpFigure9(res))
 }
 
 func TestTable2(t *testing.T) {
@@ -235,6 +236,7 @@ func TestFigure11(t *testing.T) {
 	if RenderFigure11(res) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Figure11", "7c9c0ecd5beebb0dfe34bb32ab90bf45ddbc379c913b7b72347e2b954b1d8457", dumpFigure11(res))
 }
 
 func TestSweepAndLink(t *testing.T) {
@@ -267,6 +269,7 @@ func TestSweepAndLink(t *testing.T) {
 	if RenderSweep(res) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Sweep", "aee957fcdeee82bfb5fcc13293ad298854ab591ace1db95953f92da21361254f", dumpSweep(res, links))
 }
 
 func TestAblations(t *testing.T) {
@@ -288,6 +291,7 @@ func TestAblations(t *testing.T) {
 	if RenderAblations(rows) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Ablations", "23a531e6a43fc5ab0cd8e3122b6edbadd5c80e08c78edbdf19a2b940e7415693", dumpAblations(rows))
 }
 
 func TestCycleImpact(t *testing.T) {
@@ -314,6 +318,7 @@ func TestCycleImpact(t *testing.T) {
 	if RenderCycleImpact(rows) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "CycleImpact", "2257470028f6572bb13b7e925d8e817c3d0d165de7ea2f8b4ca8e5c4004f101f", dumpCycleImpact(rows))
 }
 
 func TestCapacitySweep(t *testing.T) {
@@ -341,6 +346,7 @@ func TestCapacitySweep(t *testing.T) {
 	if RenderCapacitySweep(points) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "CapacitySweep", "84701b1f938435d874a2866bbb9c7b924df09c7f6876215b1ed82a9a6b0fff58", dumpCapacitySweep(points))
 }
 
 func TestOptimizerImpact(t *testing.T) {
@@ -424,4 +430,5 @@ func TestRobustness(t *testing.T) {
 	if RenderRobustness(res) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Robustness", "bca2c0678dbbbb9e5542f94848b1b345084348e6590f80e0fdba8ccbc15fad89", dumpRobustness(res))
 }
