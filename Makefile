@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-smoke serve-bench serve-bench-smoke procs-smoke adaptive-smoke serve-smoke fuzz-smoke policyselect-smoke prodday-smoke attrib-smoke cluster-smoke
+.PHONY: ci fmt vet build test race bench bench-smoke serve-bench serve-bench-smoke procs-smoke adaptive-smoke serve-smoke fuzz-smoke policyselect-smoke prodday-smoke attrib-smoke cluster-smoke loc
 
 ci:
 	scripts/ci.sh
@@ -19,6 +19,11 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Non-test and test Go line counts per package and in total (root module,
+# perfbench/ excluded). Informational: CHANGES.md records each change's delta.
+loc:
+	@scripts/loc.sh
 
 test:
 	$(GO) test ./...

@@ -206,7 +206,7 @@ func BenchmarkReplayObserverDetached(b *testing.B) {
 	events := churnLog()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.ReplayUnified("bench", events, 32<<10, costmodel.DefaultModel); err != nil {
+		if _, _, err := sim.ReplayGraph("bench", events, core.UnifiedSpec(32<<10, nil), costmodel.DefaultModel, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,7 +221,7 @@ func BenchmarkReplayObserverAttached(b *testing.B) {
 	c := stats.NewEventCounter()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.ReplayUnifiedObserved("bench", events, 32<<10, costmodel.DefaultModel, c); err != nil {
+		if _, _, err := sim.ReplayGraph("bench", events, core.UnifiedSpec(32<<10, nil), costmodel.DefaultModel, c); err != nil {
 			b.Fatal(err)
 		}
 	}

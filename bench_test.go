@@ -326,7 +326,7 @@ func BenchmarkReplay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.ReplayUnified("bench", events, 64<<10, costmodel.DefaultModel); err != nil {
+		if _, _, err := sim.ReplayGraph("bench", events, core.UnifiedSpec(64<<10, nil), costmodel.DefaultModel, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -184,9 +184,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-procs must be at least 1")
 	}
 
-	// Every replay's manager is built here rather than inside sim so its
-	// controller counters can be reported after the replay. The event dump
-	// tags the configuration "graph" when a graph flag shaped it.
+	// Each job keeps its replayed graph so its controller counters can be
+	// reported after the replay. The event dump tags the configuration
+	// "graph" when a graph flag shaped it.
 	baseline, err := api.SessionConfig{Unified: true}.GraphSpec(capacity)
 	if err != nil {
 		return fail(err)
@@ -194,14 +194,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mgrs := make([]*core.Graph, 2)
 	job := func(i int, tag string, spec core.GraphSpec) pipeline.Job[sim.Result] {
 		return pipeline.Job[sim.Result]{Name: tag, Run: func(context.Context) (sim.Result, error) {
-			acc := costmodel.NewAccum(costmodel.DefaultModel)
-			o := dump.forConfig(tag)
-			mgr, err := core.NewGraph(spec, obs.Combine(sim.CostObserver(acc), o))
-			if err != nil {
-				return sim.Result{}, err
-			}
-			mgrs[i] = mgr
-			return sim.ReplayObserved(h.Benchmark, events, mgr, acc, o)
+			res, g, err := sim.ReplayGraph(h.Benchmark, events, spec, costmodel.DefaultModel, dump.forConfig(tag))
+			mgrs[i] = g
+			return res, err
 		}}
 	}
 	jobs := []pipeline.Job[sim.Result]{job(0, "unified/pseudo-circular", baseline)}
@@ -277,7 +272,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // aggregate — N independent replays, which all pay identical costs, so one
 // replay scaled by N is exact.
 func runShared(out io.Writer, benchmark string, events []tracelog.Event, spec core.GraphSpec, procs, stagger int, dump *eventDumper) error {
-	iso, err := sim.ReplayGraph(benchmark, events, spec, costmodel.DefaultModel)
+	iso, _, err := sim.ReplayGraph(benchmark, events, spec, costmodel.DefaultModel, nil)
 	if err != nil {
 		return err
 	}

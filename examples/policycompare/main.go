@@ -134,8 +134,7 @@ func main() {
 func replay(mk func(repro.Observer) repro.Manager, events []repro.Event, name string) repro.ReplayResult {
 	// Each replay needs a fresh manager wired to a fresh cost accumulator;
 	// the facade's Replay helpers handle the pairing for the two standard
-	// shapes, and this generic path reuses ReplayUnified's plumbing through
-	// the sim package via the manager interface.
+	// shapes, and ReplayWith does it for any manager.
 	res, err := repro.ReplayWith(name, events, mk)
 	if err != nil {
 		log.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/attrib"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/sim"
 )
 
@@ -20,15 +19,11 @@ func attribReplay(s *Suite, r *Run) (*attrib.Snapshot, error) {
 	}
 	spec := core.UnifiedSpec(capacity, nil)
 	spec.Attrib = &attrib.Config{}
-	acc := costmodel.NewAccum(s.Model)
-	mgr, err := core.NewGraph(spec, sim.CostObserver(acc))
+	_, g, err := sim.ReplayGraph(r.Profile.Name, r.Events, spec, s.Model, nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc); err != nil {
-		return nil, err
-	}
-	return mgr.Ledger().Snapshot(), nil
+	return g.Ledger().Snapshot(), nil
 }
 
 // TestAttribConservationAllBenchmarks drives the ledger's hard invariant

@@ -108,7 +108,7 @@ func TestPolicySelectionDeterministicAcrossParallelism(t *testing.T) {
 	// swapped a live policy during the replays.
 	var switches uint64
 	for _, r := range seq {
-		switches += r.Switches
+		switches += r.Moves
 	}
 	if switches == 0 {
 		t.Error("selector applied no switches at this scale; test exercises nothing")
@@ -157,7 +157,7 @@ func TestAdaptiveDeterministicAcrossParallelism(t *testing.T) {
 	// moved capacity during the replays.
 	var resizes uint64
 	for _, r := range seq {
-		resizes += r.Resizes
+		resizes += r.Moves
 	}
 	if resizes == 0 {
 		t.Error("controller applied no resizes at this scale; test exercises nothing")

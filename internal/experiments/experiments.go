@@ -104,8 +104,8 @@ func (s *Suite) context() context.Context {
 }
 
 // perRun executes fn once per collected benchmark through the experiment
-// pipeline, returning results in run order. It is the shared scaffolding for
-// every per-figure replay matrix.
+// pipeline, returning results in run order. Replays of cache configurations
+// go through replayVariants instead.
 func perRun[T any](s *Suite, fn func(r *Run) (T, error)) ([]T, error) {
 	jobs := make([]pipeline.Job[T], len(s.Runs))
 	for i, r := range s.Runs {

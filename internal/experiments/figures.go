@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/pipeline"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -286,14 +283,17 @@ func RenderFigure6(rows []Figure6Row) string {
 // ---------------------------------------------------------------------------
 // Figures 9 and 10: generational vs unified miss rates
 
-// Layouts evaluated by Figure 9, in the paper's order.
-func figure9Layouts(capacity uint64) []core.Config {
-	return []core.Config{
-		core.Layout433Threshold10(capacity),
-		core.Layout451045Threshold1(capacity),
-		core.Layout104545Threshold10(capacity),
-	}
+// figure9Layouts are the generational layouts Figure 9 evaluates, in the
+// paper's order.
+var figure9Layouts = []variant{
+	layoutVariant(core.Layout433Threshold10(0)),
+	paperLayout,
+	layoutVariant(core.Layout104545Threshold10(0)),
 }
+
+// paperLayout is the paper's best overall layout, 45-10-45 @1: the one
+// Figures 10 and 11, the capacity sweep and the robustness study evaluate.
+var paperLayout = layoutVariant(core.Layout451045Threshold1(0))
 
 // Figure9Row is one benchmark's miss-rate comparison. Reductions are
 // 1 - generational/unified miss rate; positive is better.
@@ -303,6 +303,9 @@ type Figure9Row struct {
 	CapacityKB      float64 // simulated total capacity (0.5 x maxCache), at scale
 	UnifiedMissRate float64
 	UnifiedMisses   uint64
+	// UnifiedOverhead is the unified baseline's management overhead in
+	// instructions (Table 2 model); the cycle estimate builds on it.
+	UnifiedOverhead float64
 	Reductions      []float64 // one per layout, Figure 9 bar heights
 	Eliminated      []int64   // absolute misses eliminated (Figure 10)
 	Configs         []string
@@ -324,34 +327,21 @@ type Figure9Result struct {
 // same total capacity. Replays run on the suite's pipeline; rows and
 // averages are aggregated in benchmark order regardless of parallelism.
 func Figure9(s *Suite) (Figure9Result, error) {
-	rows, err := perRun(s, func(r *Run) (*Figure9Row, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-		if err != nil {
-			return nil, err
-		}
+	variants := append([]variant{unified}, figure9Layouts...)
+	rows, err := replayVariants(s, halfPeak, variants, func(r *Run, capacity uint64, res []replayed) (*Figure9Row, error) {
+		u := res[0]
 		row := &Figure9Row{
 			Name:            r.Profile.Name,
 			Suite:           r.Profile.Suite,
 			CapacityKB:      float64(capacity) / 1024,
 			UnifiedMissRate: u.MissRate(),
 			UnifiedMisses:   u.Misses,
+			UnifiedOverhead: u.Overhead.Total(),
+			Reductions:      reductions(res),
 		}
-		for _, cfg := range figure9Layouts(capacity) {
-			g, err := sim.ReplayGenerational(r.Profile.Name, r.Events, cfg, s.Model)
-			if err != nil {
-				return nil, err
-			}
-			red := 0.0
-			if u.MissRate() > 0 {
-				red = 1 - g.MissRate()/u.MissRate()
-			}
-			row.Reductions = append(row.Reductions, red)
+		for i, g := range res[1:] {
 			row.Eliminated = append(row.Eliminated, int64(u.Misses)-int64(g.Misses))
-			row.Configs = append(row.Configs, configLabel(cfg))
+			row.Configs = append(row.Configs, figure9Layouts[i].label)
 		}
 		return row, nil
 	})
@@ -492,17 +482,10 @@ type Figure11Result struct {
 // Figure11 reproduces the overhead evaluation (§6.2). The per-benchmark
 // comparisons run on the suite's pipeline.
 func Figure11(s *Suite) (Figure11Result, error) {
-	rows, err := perRun(s, func(r *Run) (*Figure11Row, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		cmp, err := sim.Compare(r.Profile.Name, r.Events, capacity,
-			core.Layout451045Threshold1(capacity), s.Model)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure11Row{Name: r.Profile.Name, Suite: r.Profile.Suite, Ratio: cmp.OverheadRatio()}, nil
+	variants := []variant{unified, paperLayout}
+	rows, err := replayVariants(s, halfPeak, variants, func(r *Run, _ uint64, res []replayed) (*Figure11Row, error) {
+		ratio := costmodel.OverheadRatio(res[1].Overhead, res[0].Overhead)
+		return &Figure11Row{Name: r.Profile.Name, Suite: r.Profile.Suite, Ratio: ratio}, nil
 	})
 	var res Figure11Result
 	if err != nil {
@@ -565,51 +548,31 @@ type CycleImpactRow struct {
 }
 
 // CycleImpact derives the estimate from a completed Figure 9 run (using the
-// 45-10-45 @1 layout, index 1). Total cycles are the guest's instructions
-// plus the unified configuration's management overhead; at compressed
-// simulation scales the overhead share — and therefore these percentages —
-// is much larger than the paper's full-length runs would show.
-func CycleImpact(s *Suite, fig9 Figure9Result) ([]CycleImpactRow, error) {
-	jobs := make([]pipeline.Job[*CycleImpactRow], len(fig9.Rows))
-	for i, fr := range fig9.Rows {
-		fr := fr
-		jobs[i] = pipeline.Job[*CycleImpactRow]{
-			Name: fr.Name,
-			Run: func(context.Context) (*CycleImpactRow, error) {
-				r, ok := s.Get(fr.Name)
-				if !ok {
-					return nil, nil
-				}
-				capacity := r.MaxTraceBytes() / 2
-				u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-				if err != nil {
-					return nil, err
-				}
-				med := stats.Median(sizesOf(r.Summary.TraceSizes))
-				saved := float64(fr.Eliminated[1]) * s.Model.MissCost(int(med))
-				total := float64(r.Stats.GuestInstrs) + u.Overhead.Total()
-				pct := 0.0
-				if total > 0 {
-					pct = saved / total * 100
-				}
-				return &CycleImpactRow{
-					Name: fr.Name, Suite: fr.Suite,
-					Eliminated: fr.Eliminated[1], ReductionPct: pct,
-				}, nil
-			},
-		}
-	}
-	out, err := pipeline.Map(s.context(), pipeline.Options{Parallel: s.Parallel}, jobs)
-	if err != nil {
-		return nil, err
-	}
+// 45-10-45 @1 layout, index 1) without replaying anything. Total cycles are
+// the guest's instructions plus the unified configuration's management
+// overhead; at compressed simulation scales the overhead share — and
+// therefore these percentages — is much larger than the paper's full-length
+// runs would show.
+func CycleImpact(s *Suite, fig9 Figure9Result) []CycleImpactRow {
 	var rows []CycleImpactRow
-	for _, row := range out {
-		if row != nil {
-			rows = append(rows, *row)
+	for _, fr := range fig9.Rows {
+		r, ok := s.Get(fr.Name)
+		if !ok {
+			continue
 		}
+		med := stats.Median(sizesOf(r.Summary.TraceSizes))
+		saved := float64(fr.Eliminated[1]) * s.Model.MissCost(int(med))
+		total := float64(r.Stats.GuestInstrs) + fr.UnifiedOverhead
+		pct := 0.0
+		if total > 0 {
+			pct = saved / total * 100
+		}
+		rows = append(rows, CycleImpactRow{
+			Name: fr.Name, Suite: fr.Suite,
+			Eliminated: fr.Eliminated[1], ReductionPct: pct,
+		})
 	}
-	return rows, nil
+	return rows
 }
 
 func sizesOf(in []uint32) []float64 {

@@ -92,12 +92,12 @@ func dumpRobustness(res RobustnessResult) string {
 	return b.String()
 }
 
-func dumpAdaptive(rows []AdaptiveRow) string {
+func dumpAdaptive(rows []VsStatic) string {
 	var b strings.Builder
 	for _, r := range rows {
 		dumpf(&b, "%s %v %v best %d worst %d adaptive %v resizes %d reverted %d beats %v within %v",
 			r.Name, r.Configs, r.Static, r.BestStatic, r.WorstStatic,
-			r.Adaptive, r.Resizes, r.Reverted, r.BeatsWorst, r.WithinBest)
+			r.Online, r.Moves, r.Reverted, r.BeatsWorst, r.WithinBest)
 	}
 	return b.String()
 }
@@ -107,7 +107,7 @@ func dumpPolicySelection(rows []PolicySelectRow) string {
 	for _, r := range rows {
 		dumpf(&b, "%s %v %v best %d worst %d selector %v switches %d reverted %d final %s causes %v beats %v within %v",
 			r.Name, r.Configs, r.Static, r.BestStatic, r.WorstStatic,
-			r.Selector, r.Switches, r.Reverted, r.Final, r.Causes, r.BeatsWorst, r.WithinBest)
+			r.Online, r.Moves, r.Reverted, r.Final, r.Causes, r.BeatsWorst, r.WithinBest)
 	}
 	return b.String()
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -57,44 +55,13 @@ func RobustnessContext(ctx context.Context, benchmarks []string, scale float64, 
 		if err != nil {
 			return res, err
 		}
-		reds, err := perRun(suite, func(r *Run) (*float64, error) {
-			capacity := r.MaxTraceBytes() / 2
-			if capacity == 0 {
-				return nil, nil
-			}
-			u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, suite.Model)
-			if err != nil {
-				return nil, err
-			}
-			if u.MissRate() == 0 {
-				return nil, nil
-			}
-			g, err := sim.ReplayGenerational(r.Profile.Name, r.Events,
-				core.Layout451045Threshold1(capacity), suite.Model)
-			if err != nil {
-				return nil, err
-			}
-			red := 1 - g.MissRate()/u.MissRate()
-			return &red, nil
-		})
+		reds, err := replayVariants(suite, halfPeak, []variant{unified, paperLayout}, baselineReductions)
 		if err != nil {
 			return res, err
 		}
-		var sum float64
-		n := 0
-		for _, red := range reds {
-			if red == nil {
-				continue
-			}
-			sum += *red
-			n++
-		}
-		avg := 0.0
-		if n > 0 {
-			avg = sum / float64(n)
-		}
-		res.Points = append(res.Points, RobustnessPoint{SeedOffset: off, AvgReduction: avg, Benchmarks: n})
-		avgs = append(avgs, avg)
+		avg, n := meanReductions(reds, 1)
+		res.Points = append(res.Points, RobustnessPoint{SeedOffset: off, AvgReduction: avg[0], Benchmarks: n})
+		avgs = append(avgs, avg[0])
 	}
 	res.Mean = stats.Mean(avgs)
 	res.StdDev = stats.StdDev(avgs)

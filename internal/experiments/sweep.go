@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -72,53 +68,21 @@ func sweepGrid() []core.Config {
 // pipeline job; sums aggregate in benchmark order.
 func Sweep(s *Suite) (SweepResult, error) {
 	grid := sweepGrid()
-	perBench, err := perRun(s, func(r *Run) ([]float64, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-		if err != nil {
-			return nil, err
-		}
-		if u.MissRate() == 0 {
-			return nil, nil
-		}
-		reds := make([]float64, len(grid))
-		for i, cfg := range grid {
-			cfg.TotalCapacity = capacity
-			g, err := sim.ReplayGenerational(r.Profile.Name, r.Events, cfg, s.Model)
-			if err != nil {
-				return nil, err
-			}
-			reds[i] = 1 - g.MissRate()/u.MissRate()
-		}
-		return reds, nil
-	})
+	variants := []variant{unified}
+	for _, cfg := range grid {
+		variants = append(variants, layoutVariant(cfg))
+	}
+	perBench, err := replayVariants(s, halfPeak, variants, baselineReductions)
 	if err != nil {
 		return SweepResult{}, err
 	}
-	sums := make([]float64, len(grid))
-	n := 0
-	for _, reds := range perBench {
-		if reds == nil {
-			continue
-		}
-		n++
-		for i, v := range reds {
-			sums[i] += v
-		}
-	}
+	avgs, _ := meanReductions(perBench, len(grid))
 	var res SweepResult
 	for i, cfg := range grid {
-		avg := 0.0
-		if n > 0 {
-			avg = sums[i] / float64(n)
-		}
 		pt := SweepPoint{
 			Nursery: cfg.NurseryFrac, Probation: cfg.ProbationFrac, Persistent: cfg.PersistentFrac,
 			Threshold: cfg.PromoteThreshold, PromoteOnAccess: cfg.PromoteOnAccess,
-			AvgReduction: avg,
+			AvgReduction: avgs[i],
 		}
 		res.Points = append(res.Points, pt)
 		if i == 0 || pt.AvgReduction > res.Best.AvgReduction {
@@ -198,110 +162,37 @@ type AblationRow struct {
 //   - lru-local: the paper's layout but with LRU as every cache's local
 //     policy (left as future work in §5);
 //   - flush-unified: a unified cache that flushes when full (Dynamo-style
-//     management), as a second baseline.
+//     management), as a second baseline;
+//   - holefill-unified: a unified cache that fills program-forced holes
+//     before evicting at the cursor (the §4.3 road not taken).
 func Ablations(s *Suite) ([]AblationRow, error) {
-	type variant struct {
-		name string
-		run  func(r *Run, capacity uint64, u sim.Result) (float64, error)
-	}
-	genRed := func(cfg core.Config, r *Run, u sim.Result) (float64, error) {
-		g, err := sim.ReplayGenerational(r.Profile.Name, r.Events, cfg, s.Model)
-		if err != nil {
-			return 0, err
-		}
-		if u.MissRate() == 0 {
-			return 0, nil
-		}
-		return 1 - g.MissRate()/u.MissRate(), nil
-	}
 	variants := []variant{
-		{"45-10-45@1 (paper)", func(r *Run, c uint64, u sim.Result) (float64, error) {
-			return genRed(core.Layout451045Threshold1(c), r, u)
-		}},
-		{"no-probation", func(r *Run, c uint64, u sim.Result) (float64, error) {
-			cfg := core.Config{
-				TotalCapacity: c,
-				NurseryFrac:   0.47, ProbationFrac: 0.03, PersistentFrac: 0.50,
-				PromoteThreshold: 0, // every probation victim promotes
-			}
-			return genRed(cfg, r, u)
-		}},
-		{"lru-local", func(r *Run, c uint64, u sim.Result) (float64, error) {
+		unified,
+		{"45-10-45@1 (paper)", paperLayout.spec},
+		{"no-probation", layout(core.Config{
+			NurseryFrac: 0.47, ProbationFrac: 0.03, PersistentFrac: 0.50,
+			PromoteThreshold: 0, // every probation victim promotes
+		})},
+		{"lru-local", func(c uint64) core.GraphSpec {
 			cfg := core.Layout451045Threshold1(c)
 			cfg.Local = func(core.Level) policy.Local { return policy.NewLRU() }
-			return genRed(cfg, r, u)
+			return cfg.GraphSpec()
 		}},
-		{"flush-unified", func(r *Run, c uint64, u sim.Result) (float64, error) {
-			acc := costmodel.NewAccum(s.Model)
-			mgr := core.NewUnified(c, &policy.FlushWhenFull{}, sim.CostObserver(acc))
-			g, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc)
-			if err != nil {
-				return 0, err
-			}
-			if u.MissRate() == 0 {
-				return 0, nil
-			}
-			return 1 - g.MissRate()/u.MissRate(), nil
+		{"flush-unified", func(c uint64) core.GraphSpec {
+			return core.UnifiedSpec(c, &policy.FlushWhenFull{})
 		}},
-		{"holefill-unified", func(r *Run, c uint64, u sim.Result) (float64, error) {
-			// The §4.3 road not taken: fill program-forced holes before
-			// evicting at the cursor.
-			acc := costmodel.NewAccum(s.Model)
-			mgr := core.NewUnified(c, &policy.CircularFirstFit{}, sim.CostObserver(acc))
-			g, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc)
-			if err != nil {
-				return 0, err
-			}
-			if u.MissRate() == 0 {
-				return 0, nil
-			}
-			return 1 - g.MissRate()/u.MissRate(), nil
+		{"holefill-unified", func(c uint64) core.GraphSpec {
+			return core.UnifiedSpec(c, &policy.CircularFirstFit{})
 		}},
 	}
-
-	perBench, err := perRun(s, func(r *Run) ([]float64, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-		if err != nil {
-			return nil, err
-		}
-		if u.MissRate() == 0 {
-			return nil, nil
-		}
-		reds := make([]float64, len(variants))
-		for i, v := range variants {
-			red, err := v.run(r, capacity, u)
-			if err != nil {
-				return nil, err
-			}
-			reds[i] = red
-		}
-		return reds, nil
-	})
+	perBench, err := replayVariants(s, halfPeak, variants, baselineReductions)
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]float64, len(variants))
-	n := 0
-	for _, reds := range perBench {
-		if reds == nil {
-			continue
-		}
-		n++
-		for i, v := range reds {
-			sums[i] += v
-		}
-	}
+	avgs, _ := meanReductions(perBench, len(variants)-1)
 	var out []AblationRow
-	for i, v := range variants {
-		avg := 0.0
-		if n > 0 {
-			avg = sums[i] / float64(n)
-		}
-		out = append(out, AblationRow{Name: v.name, AvgReduction: avg})
+	for i, v := range variants[1:] {
+		out = append(out, AblationRow{Name: v.label, AvgReduction: avgs[i]})
 	}
 	return out, nil
 }
@@ -337,42 +228,16 @@ func CapacitySweep(s *Suite, fracs []float64) ([]CapacityPoint, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0.25, 0.375, 0.5, 0.75, 0.9}
 	}
-	// Flatten the frac x benchmark matrix into one job list so the worker
-	// pool stays busy across point boundaries; aggregation below walks the
-	// results in (frac, benchmark) order.
+	// One job per (frac, benchmark) cell keeps the worker pool busy across
+	// point boundaries; aggregation below walks the cells in that order.
 	type cell struct {
 		u, g, red float64
 		ok        bool
 	}
-	var jobs []pipeline.Job[cell]
-	for _, frac := range fracs {
-		for _, r := range s.Runs {
-			frac, r := frac, r
-			jobs = append(jobs, pipeline.Job[cell]{
-				Name: fmt.Sprintf("%s@%.0f%%", r.Profile.Name, frac*100),
-				Run: func(context.Context) (cell, error) {
-					capacity := uint64(float64(r.MaxTraceBytes()) * frac)
-					if capacity == 0 {
-						return cell{}, nil
-					}
-					u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-					if err != nil {
-						return cell{}, err
-					}
-					g, err := sim.ReplayGenerational(r.Profile.Name, r.Events, core.Layout451045Threshold1(capacity), s.Model)
-					if err != nil {
-						return cell{}, err
-					}
-					c := cell{u: u.MissRate(), g: g.MissRate(), ok: true}
-					if c.u > 0 {
-						c.red = 1 - c.g/c.u
-					}
-					return c, nil
-				},
-			})
-		}
-	}
-	cells, err := pipeline.Map(s.context(), pipeline.Options{Parallel: s.Parallel}, jobs)
+	variants := []variant{unified, paperLayout}
+	cells, err := replayVariants(s, fracs, variants, func(_ *Run, _ uint64, res []replayed) (cell, error) {
+		return cell{u: res[0].MissRate(), g: res[1].MissRate(), red: reductions(res)[0], ok: true}, nil
+	})
 	if err != nil {
 		return nil, err
 	}

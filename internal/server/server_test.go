@@ -70,14 +70,14 @@ func offlineResult(t *testing.T, logBytes []byte) api.SessionResult {
 	}
 	sum := tracelog.Summarize(h, events)
 	capacity := uint64(float64(sum.MaxLiveBytes) * 0.5)
-	res, err := sim.ReplayGenerational(h.Benchmark, events, core.Config{
+	res, _, err := sim.ReplayGraph(h.Benchmark, events, core.Config{
 		TotalCapacity:    capacity,
 		NurseryFrac:      0.45,
 		ProbationFrac:    0.10,
 		PersistentFrac:   0.45,
 		PromoteThreshold: 1,
 		PromoteOnAccess:  true,
-	}, costmodel.DefaultModel)
+	}.GraphSpec(), costmodel.DefaultModel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

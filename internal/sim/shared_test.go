@@ -57,7 +57,7 @@ func TestReplaySharedAdoptionSavesGenerations(t *testing.T) {
 		t.Fatal("no adoptions: later processes should attach to promoted traces")
 	}
 	// Aggregate generations must beat N isolated replays of the same log.
-	iso, err := ReplayGenerational("b", evs, sharedCfg(), costmodel.DefaultModel)
+	iso, _, err := ReplayGraph("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestReplaySharedSingleProcMatchesGenerational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iso, err := ReplayGenerational("b", evs, sharedCfg(), costmodel.DefaultModel)
+	iso, _, err := ReplayGraph("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

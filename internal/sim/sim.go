@@ -50,21 +50,13 @@ func (r Result) MissRate() float64 {
 	return float64(r.Misses) / float64(r.Accesses)
 }
 
-// Replay drives every event in the log through the manager. The manager
-// must be freshly constructed; Replay does not reset it. The observer wired
-// at manager construction time must be (or fan out to) the one returned by
-// CostObserver so evictions and promotions are charged to acc.
-func Replay(benchmark string, events []tracelog.Event, mgr core.Manager, acc *costmodel.Accum) (Result, error) {
-	return ReplayObserved(benchmark, events, mgr, acc, nil)
-}
-
 // ProgressStride is how many log events pass between KindProgress emissions
 // during an observed replay (a final event always fires at completion).
 const ProgressStride = 1 << 14
 
 // Replayer is the incremental form of a replay: the same accounting as
-// ReplayObserved, fed one event at a time. Batch replays (ReplayObserved)
-// and streaming consumers (the gencached session handler, which decodes
+// Replay, fed one event at a time. Batch replays (Replay, ReplayGraph) and
+// streaming consumers (the gencached session handler, which decodes
 // events straight off a network connection) share it, so a streamed replay
 // is bit-identical to an offline one by construction. A Replayer is
 // single-goroutine, like the manager it drives.
@@ -331,14 +323,34 @@ func (r *Replayer) Finish() Result {
 	return r.res
 }
 
-// ReplayObserved is Replay plus a progress stream: every ProgressStride log
-// events (and once at the end) it publishes a KindProgress event to o. Cache
-// lifecycle events are published by the manager's own observer, not o.
+// ReplayGraph is the spec-level entry: it builds the tier graph spec
+// describes, charges its evictions and promotions under model, and replays
+// the log through it. o, when non-nil, receives the graph's full event
+// stream plus a KindProgress event every ProgressStride log events and once
+// at the end. The graph is returned so callers can read its controller
+// counters (AdaptiveStats, SelectorStats, LivePolicies, Ledger).
+func ReplayGraph(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model, o obs.Observer) (Result, *core.Graph, error) {
+	acc := costmodel.NewAccum(model)
+	g, err := core.NewGraph(spec, obs.Combine(CostObserver(acc), o))
+	if err != nil {
+		return Result{}, nil, err
+	}
+	res, err := Replay(benchmark, events, g, acc, o)
+	return res, g, err
+}
+
+// Replay drives every event in the log through the manager: the
+// manager-level entry, for hosts that build their own manager. The manager
+// must be freshly constructed; Replay does not reset it. The observer wired
+// at manager construction time must be (or fan out to) the one returned by
+// CostObserver so evictions and promotions are charged to acc; o, when
+// non-nil, receives a KindProgress event every ProgressStride log events
+// and once at the end.
 //
 // The replay runs through the batched kernel — the same StepBlock path the
 // gencached ingest uses — packed from the in-memory slice a block at a time,
 // so offline results and served results come off one code path.
-func ReplayObserved(benchmark string, events []tracelog.Event, mgr core.Manager, acc *costmodel.Accum, o obs.Observer) (Result, error) {
+func Replay(benchmark string, events []tracelog.Event, mgr core.Manager, acc *costmodel.Accum, o obs.Observer) (Result, error) {
 	rep := NewReplayer(benchmark, mgr, acc, o)
 	defer rep.Recycle()
 	rep.SetTotal(uint64(len(events)))
@@ -366,48 +378,6 @@ func CostObserver(acc *costmodel.Accum) obs.Observer {
 			acc.ChargePromotion(int(e.Size))
 		}
 	})
-}
-
-// ReplayUnified is a convenience: replay under a single pseudo-circular
-// cache of the given capacity.
-func ReplayUnified(benchmark string, events []tracelog.Event, capacity uint64, model costmodel.Model) (Result, error) {
-	return ReplayUnifiedObserved(benchmark, events, capacity, model, nil)
-}
-
-// ReplayUnifiedObserved is ReplayUnified with the manager's full event
-// stream (and replay progress) additionally fanned out to o.
-func ReplayUnifiedObserved(benchmark string, events []tracelog.Event, capacity uint64, model costmodel.Model, o obs.Observer) (Result, error) {
-	acc := costmodel.NewAccum(model)
-	mgr := core.NewUnified(capacity, nil, obs.Combine(CostObserver(acc), o))
-	return ReplayObserved(benchmark, events, mgr, acc, o)
-}
-
-// ReplayGenerational is a convenience: replay under a generational manager
-// with the given configuration.
-func ReplayGenerational(benchmark string, events []tracelog.Event, cfg core.Config, model costmodel.Model) (Result, error) {
-	acc := costmodel.NewAccum(model)
-	mgr, err := core.NewGenerational(cfg, CostObserver(acc))
-	if err != nil {
-		return Result{}, err
-	}
-	return ReplayObserved(benchmark, events, mgr, acc, nil)
-}
-
-// ReplayGraph is a convenience: replay under an arbitrary tier graph
-// (N generations, alternative promotion predictors, adaptive split control).
-func ReplayGraph(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model) (Result, error) {
-	return ReplayGraphObserved(benchmark, events, spec, model, nil)
-}
-
-// ReplayGraphObserved is ReplayGraph with the manager's full event stream
-// (and replay progress) additionally fanned out to o.
-func ReplayGraphObserved(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model, o obs.Observer) (Result, error) {
-	acc := costmodel.NewAccum(model)
-	mgr, err := core.NewGraph(spec, obs.Combine(CostObserver(acc), o))
-	if err != nil {
-		return Result{}, err
-	}
-	return ReplayObserved(benchmark, events, mgr, acc, o)
 }
 
 // Comparison pairs a unified baseline with a generational configuration on
@@ -441,12 +411,12 @@ func (c Comparison) OverheadRatio() float64 {
 // Compare replays the log under both a unified cache of the given capacity
 // and a generational configuration of the same total capacity.
 func Compare(benchmark string, events []tracelog.Event, capacity uint64, cfg core.Config, model costmodel.Model) (Comparison, error) {
-	u, err := ReplayUnified(benchmark, events, capacity, model)
+	u, _, err := ReplayGraph(benchmark, events, core.UnifiedSpec(capacity, nil), model, nil)
 	if err != nil {
 		return Comparison{}, err
 	}
 	cfg.TotalCapacity = capacity
-	g, err := ReplayGenerational(benchmark, events, cfg, model)
+	g, _, err := ReplayGraph(benchmark, events, cfg.GraphSpec(), model, nil)
 	if err != nil {
 		return Comparison{}, err
 	}

@@ -32,7 +32,7 @@ func mkLog(nTraces int, size uint32, rounds int) []tracelog.Event {
 
 func TestReplayAllFits(t *testing.T) {
 	evs := mkLog(5, 100, 10)
-	res, err := ReplayUnified("b", evs, 1000, costmodel.DefaultModel)
+	res, _, err := ReplayGraph("b", evs, core.UnifiedSpec(1000, nil), costmodel.DefaultModel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestReplayThrashing(t *testing.T) {
 	// 10 traces of 100 bytes round-robin through a 500-byte cache: every
 	// access is a miss (classic FIFO thrash).
 	evs := mkLog(10, 100, 5)
-	res, err := ReplayUnified("b", evs, 500, costmodel.DefaultModel)
+	res, _, err := ReplayGraph("b", evs, core.UnifiedSpec(500, nil), costmodel.DefaultModel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestReplayErrors(t *testing.T) {
 	model := costmodel.DefaultModel
 	t.Run("unknown access", func(t *testing.T) {
 		evs := []tracelog.Event{{Kind: tracelog.KindAccess, Time: 1, Trace: 9}}
-		if _, err := ReplayUnified("b", evs, 100, model); err == nil {
+		if _, _, err := ReplayGraph("b", evs, core.UnifiedSpec(100, nil), model, nil); err == nil {
 			t.Error("access to unknown trace accepted")
 		}
 	})
@@ -86,7 +86,7 @@ func TestReplayErrors(t *testing.T) {
 			{Kind: tracelog.KindCreate, Time: 1, Trace: 1, Size: 10},
 			{Kind: tracelog.KindCreate, Time: 2, Trace: 1, Size: 10},
 		}
-		if _, err := ReplayUnified("b", evs, 100, model); err == nil {
+		if _, _, err := ReplayGraph("b", evs, core.UnifiedSpec(100, nil), model, nil); err == nil {
 			t.Error("duplicate create accepted")
 		}
 	})
@@ -96,13 +96,13 @@ func TestReplayErrors(t *testing.T) {
 			{Kind: tracelog.KindUnmap, Time: 2, Module: 2},
 			{Kind: tracelog.KindAccess, Time: 3, Trace: 1},
 		}
-		if _, err := ReplayUnified("b", evs, 100, model); err == nil {
+		if _, _, err := ReplayGraph("b", evs, core.UnifiedSpec(100, nil), model, nil); err == nil {
 			t.Error("access to unmapped trace accepted")
 		}
 	})
 	t.Run("bad kind", func(t *testing.T) {
 		evs := []tracelog.Event{{Kind: tracelog.Kind(42), Time: 1}}
-		if _, err := ReplayUnified("b", evs, 100, model); err == nil {
+		if _, _, err := ReplayGraph("b", evs, core.UnifiedSpec(100, nil), model, nil); err == nil {
 			t.Error("bad kind accepted")
 		}
 	})
@@ -115,7 +115,7 @@ func TestReplayUnmapChargesEvictions(t *testing.T) {
 		{Kind: tracelog.KindUnmap, Time: 3, Module: 2},
 		{Kind: tracelog.KindEnd, Time: 4},
 	}
-	res, err := ReplayUnified("b", evs, 1000, costmodel.DefaultModel)
+	res, _, err := ReplayGraph("b", evs, core.UnifiedSpec(1000, nil), costmodel.DefaultModel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestReplayPinning(t *testing.T) {
 		{Kind: tracelog.KindUnpin, Time: 6, Trace: 1},
 		{Kind: tracelog.KindEnd, Time: 7},
 	}
-	res, err := ReplayUnified("b", evs, 200, costmodel.DefaultModel)
+	res, _, err := ReplayGraph("b", evs, core.UnifiedSpec(200, nil), costmodel.DefaultModel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestComparisonZeroMissBaseline(t *testing.T) {
 }
 
 func TestReplayGenerationalBadConfig(t *testing.T) {
-	if _, err := ReplayGenerational("b", nil, core.Config{}, costmodel.DefaultModel); err == nil {
+	if _, _, err := ReplayGraph("b", nil, core.Config{}.GraphSpec(), costmodel.DefaultModel, nil); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -284,7 +284,7 @@ func TestQuickReplayConservation(t *testing.T) {
 			}
 		}
 		capacity := uint64(2048 + r.Intn(8192))
-		res1, err := ReplayUnified("q", evs, capacity, costmodel.DefaultModel)
+		res1, _, err := ReplayGraph("q", evs, core.UnifiedSpec(capacity, nil), costmodel.DefaultModel, nil)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -294,7 +294,7 @@ func TestQuickReplayConservation(t *testing.T) {
 		if res1.ColdCreates != uint64(len(created)) {
 			t.Fatalf("iter %d: cold creates %d != %d", iter, res1.ColdCreates, len(created))
 		}
-		res2, err := ReplayUnified("q", evs, capacity, costmodel.DefaultModel)
+		res2, _, err := ReplayGraph("q", evs, core.UnifiedSpec(capacity, nil), costmodel.DefaultModel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestQuickReplayConservation(t *testing.T) {
 			t.Fatalf("iter %d: nondeterministic replay", iter)
 		}
 		// Generational replay obeys the same conservation law.
-		g, err := ReplayGenerational("q", evs, core.Layout451045Threshold1(capacity), costmodel.DefaultModel)
+		g, _, err := ReplayGraph("q", evs, core.Layout451045Threshold1(capacity).GraphSpec(), costmodel.DefaultModel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

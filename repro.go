@@ -182,7 +182,8 @@ func UnifiedGraphSpec(capacity uint64) GraphSpec {
 
 // ReplayTierGraph replays a log through a freshly built tier graph.
 func ReplayTierGraph(benchmark string, events []Event, spec GraphSpec) (ReplayResult, error) {
-	return sim.ReplayGraph(benchmark, events, spec, costmodel.DefaultModel)
+	res, _, err := sim.ReplayGraph(benchmark, events, spec, costmodel.DefaultModel, nil)
+	return res, err
 }
 
 // Benchmarks returns every benchmark profile (20 SPEC2000 + the 12
@@ -225,12 +226,12 @@ func Compare(benchmark string, events []Event, capacity uint64, cfg Generational
 
 // ReplayUnified replays a log under the unified baseline.
 func ReplayUnified(benchmark string, events []Event, capacity uint64) (ReplayResult, error) {
-	return sim.ReplayUnified(benchmark, events, capacity, costmodel.DefaultModel)
+	return ReplayTierGraph(benchmark, events, core.UnifiedSpec(capacity, nil))
 }
 
 // ReplayGenerational replays a log under a generational layout.
 func ReplayGenerational(benchmark string, events []Event, cfg GenerationalConfig) (ReplayResult, error) {
-	return sim.ReplayGenerational(benchmark, events, cfg, costmodel.DefaultModel)
+	return ReplayTierGraph(benchmark, events, cfg.GraphSpec())
 }
 
 // ReplayWith replays a log under an arbitrary manager. mk receives the
@@ -240,7 +241,7 @@ func ReplayGenerational(benchmark string, events []Event, cfg GenerationalConfig
 func ReplayWith(benchmark string, events []Event, mk func(Observer) Manager) (ReplayResult, error) {
 	acc := costmodel.NewAccum(costmodel.DefaultModel)
 	mgr := mk(sim.CostObserver(acc))
-	return sim.Replay(benchmark, events, mgr, acc)
+	return sim.Replay(benchmark, events, mgr, acc, nil)
 }
 
 // NewLifetimes returns an empty lifetime tracker.
