@@ -113,7 +113,7 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 
 // newHotGraphEngine builds the same warmed engine over a three-tier graph
 // with the adaptive split controller attached — the dispatch path every
-// manager shares now that Unified and Generational are stock graphs, plus
+// manager shares now that the unified and generational shapes are stock graphs, plus
 // the controller's per-access sampling.
 func newHotGraphEngine(tb testing.TB, img *program.Image, warm []dbt.Step) *dbt.Engine {
 	tb.Helper()

@@ -125,7 +125,7 @@ func buildServeLog(tb testing.TB) ([]byte, int) {
 // 45-10-45, promote on access) over the given capacity, with an extra
 // observer standing in for the server's counter/policy/session observer
 // chain — both paths carry it, as both the old and new handlers do.
-func serveMgr(tb testing.TB, capacity uint64, acc *costmodel.Accum, extra obs.Observer) core.Manager {
+func serveMgr(tb testing.TB, capacity uint64, acc *costmodel.Accum, extra obs.Observer) *core.Graph {
 	tb.Helper()
 	mgr, err := core.NewGenerational(core.Config{
 		TotalCapacity: capacity,

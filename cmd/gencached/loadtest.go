@@ -83,6 +83,10 @@ func loadtestMain(args []string) {
 		}
 		nodes = append(nodes, nc)
 	}
+	if len(nodes) == 0 {
+		fmt.Fprintf(os.Stderr, "gencached loadtest: -addr %q names no server\n", *addr)
+		os.Exit(2)
+	}
 	c := nodes[0]
 
 	// One configuration drives both the served sessions and the offline
@@ -161,9 +165,11 @@ func loadtestMain(args []string) {
 				t0 := clk.Now()
 				var res api.SessionResult
 				var err error
-				for attempt := 0; ; attempt++ {
+				// An overloaded server sheds the session with 429; back off
+				// and retry until the -timeout deadline ends the run.
+				for {
 					res, err = node.Session(ctx, cfg, bytes.NewReader(logs[b]))
-					if !errors.Is(err, client.ErrOverloaded) || attempt >= 20 {
+					if !errors.Is(err, client.ErrOverloaded) || ctx.Err() != nil {
 						break
 					}
 					retries.Add(1)

@@ -18,29 +18,24 @@ import (
 	"repro/internal/obs"
 )
 
-// AdaptiveConfig tunes a graph's split controller. The zero value of any
-// field selects its default.
+// AdaptiveConfig tunes a graph's split controller.
 type AdaptiveConfig struct {
 	// Epoch is the number of Access calls between controller decisions
-	// (default 4096).
+	// (0 selects 4096).
 	Epoch uint64
-	// Step is the fraction of total capacity moved per resize (default
-	// 0.04).
-	Step float64
-	// MinFrac is the smallest fraction of total capacity any tier may be
-	// shrunk to (default 0.05).
-	MinFrac float64
 }
+
+const (
+	// adaptiveStep is the fraction of total capacity moved per resize.
+	adaptiveStep = 0.04
+	// adaptiveMinFrac is the smallest fraction of total capacity any tier
+	// may be shrunk to.
+	adaptiveMinFrac = 0.05
+)
 
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if c.Epoch == 0 {
 		c.Epoch = 4096
-	}
-	if c.Step == 0 {
-		c.Step = 0.04
-	}
-	if c.MinFrac == 0 {
-		c.MinFrac = 0.05
 	}
 	return c
 }
@@ -50,7 +45,7 @@ type AdaptiveStats struct {
 	Epochs    uint64 // controller decision points
 	Resizes   uint64 // capacity shifts applied
 	Reversals uint64 // shifts that undid the immediately preceding one
-	Blocked   uint64 // shifts refused (MinFrac floor or pinned fragments)
+	Blocked   uint64 // shifts refused (min-fraction floor or pinned fragments)
 }
 
 // adaptiveController re-balances a graph's private tier capacities. It
@@ -288,11 +283,11 @@ func (c *adaptiveController) propose() (from, to int) {
 func (c *adaptiveController) stepBytes() uint64 {
 	// Pressure scales the step up to 2x: a loaded system wants to reach a
 	// better split in fewer (churn-causing) resizes.
-	return uint64(float64(c.g.spec.TotalCapacity) * c.cfg.Step * (1 + c.pressure))
+	return uint64(float64(c.g.spec.TotalCapacity) * adaptiveStep * (1 + c.pressure))
 }
 
 func (c *adaptiveController) minBytes() uint64 {
-	return uint64(float64(c.g.spec.TotalCapacity) * c.cfg.MinFrac)
+	return uint64(float64(c.g.spec.TotalCapacity) * adaptiveMinFrac)
 }
 
 // shift moves one capacity step from tier `from` to tier `to`. The donor
@@ -337,11 +332,7 @@ func (g *Graph) AdaptiveStats() (AdaptiveStats, bool) {
 
 // SetLoadPressure feeds external arrival intensity (0 = idle, 1 = saturated)
 // into the adaptive split controller; see adaptiveController.pressure for
-// how it trades damping for reaction speed. Static graphs ignore it. Callers
-// that only hold a Manager reach it with the same type-assertion idiom as
-// SetProcID:
-//
-//	if lp, ok := mgr.(interface{ SetLoadPressure(float64) }); ok { ... }
+// how it trades damping for reaction speed. Static graphs ignore it.
 //
 // Determinism: pressure is ordinary controller input — two runs that set the
 // same pressure values at the same access counts decide identically.

@@ -1,23 +1,28 @@
 // Package core implements the paper's central contribution: global code
-// cache management. A Manager owns one or more code caches and decides where
+// cache management. A manager owns one or more code caches and decides where
 // traces live, when they move, and when they die.
 //
-// Managers are tier graphs (see graph.go): chains of caches connected by
-// eviction edges with pluggable promotion predictors. Two stock shapes
-// reproduce the paper. Unified is the baseline: a single trace cache driven
-// by a local replacement policy (the paper's baseline is a single
-// pseudo-circular cache sized at half the workload's unbounded footprint).
-// Generational is the proposal of §5: a nursery cache receives all new
-// traces; traces evicted from the nursery move to a probation cache; traces
-// that prove themselves in probation are promoted to a persistent cache,
-// while the rest die (Figure 8). The probation cache plays the role of a
-// victim cache whose hits identify long-lived traces (§5.3).
+// The one manager type is the tier graph (*Graph, see graph.go): a chain of
+// caches connected by eviction edges with hit-threshold promotion gates. Two
+// stock shapes reproduce the paper. The unified baseline (NewUnified) is a
+// single trace cache driven by a local replacement policy (the paper's
+// baseline is a single pseudo-circular cache sized at half the workload's
+// unbounded footprint). The generational design of §5 (NewGenerational) has
+// a nursery cache that receives all new traces; traces evicted from the
+// nursery move to a probation cache; traces that prove themselves in
+// probation are promoted to a persistent cache, while the rest die (Figure
+// 8). The probation cache plays the role of a victim cache whose hits
+// identify long-lived traces (§5.3).
+//
+// Every manager publishes its trace lifecycle — insertions, capacity
+// evictions, promotions, and program-forced deletions — to the obs.Observer
+// it was constructed with; the simulator's cost accounting and the
+// experiment metrics both subscribe to that bus.
 package core
 
 import (
 	"fmt"
 
-	"repro/internal/codecache"
 	"repro/internal/obs"
 	"repro/internal/policy"
 )
@@ -51,58 +56,10 @@ type Stats struct {
 	DropTooBig          uint64 // traces that could not fit anywhere
 }
 
-// Manager is a global code-cache management scheme. Every manager publishes
-// its trace lifecycle — insertions, capacity evictions, promotions, and
-// program-forced deletions — to the obs.Observer it was constructed with
-// (see NewUnified, NewGenerational, NewGraph); the simulator's cost
-// accounting and the experiment metrics both subscribe to that bus.
-type Manager interface {
-	// Name identifies the configuration in experiment output.
-	Name() string
-	// Insert accepts a newly generated trace.
-	Insert(f codecache.Fragment) error
-	// Access records that execution entered the trace with the given ID and
-	// reports whether it was resident (a code-cache hit).
-	Access(id uint64) bool
-	// Contains reports residency without touching access counters.
-	Contains(id uint64) bool
-	// DeleteModule force-deletes every trace from module m (program-forced
-	// eviction, e.g. a DLL unmap) and returns the victims.
-	DeleteModule(m uint16) []codecache.Fragment
-	// SetUndeletable pins or unpins a resident trace.
-	SetUndeletable(id uint64, pinned bool) bool
-	// Capacity returns the total bytes across all managed caches.
-	Capacity() uint64
-	// Used returns the occupied bytes across all managed caches.
-	Used() uint64
-	// Stats returns aggregate counters.
-	Stats() Stats
-	// Levels returns each cache's level and arena stats, for reporting.
-	Levels() map[Level]codecache.Stats
-}
-
-// RunAccessor is the batched form of Manager.Access, implemented by managers
-// that can absorb a run of accesses in one call. AccessRun processes the
-// longest leading prefix of ids that hit, exactly as if Access had been
-// called for each, and returns how many it processed; the id at the returned
-// index has not been accessed (it missed, or is not resident privately) and
-// the caller replays it through the per-event Access. A return of -1 means
-// the manager cannot batch at all right now (an adaptive controller or
-// policy selector needs to see every probe); the caller must fall back to
-// per-event Access permanently for this manager.
-//
-// The batched replay kernel (sim.StepBlock) is the intended caller: runs of
-// accesses are the overwhelming majority of any trace log, and hoisting the
-// per-event interface dispatch, statistics writes, and tier-probe order out
-// of the loop is where the kernel's throughput comes from.
-type RunAccessor interface {
-	AccessRun(ids []uint64) int
-}
-
 // NewUnified creates a unified cache of the given capacity with the given
 // local policy (nil defaults to pseudo-circular). Lifecycle events are
 // published to o (nil for none).
-func NewUnified(capacity uint64, local policy.Local, o obs.Observer) *Unified {
+func NewUnified(capacity uint64, local policy.Local, o obs.Observer) *Graph {
 	g, err := NewGraph(UnifiedSpec(capacity, local), o)
 	if err != nil {
 		// A one-tier spec can only fail on zero capacity, which the arena
@@ -173,29 +130,9 @@ func (c Config) Validate() error {
 
 // NewGenerational creates a generational manager from the configuration.
 // Lifecycle events are published to o (nil for none).
-func NewGenerational(cfg Config, o obs.Observer) (*Generational, error) {
+func NewGenerational(cfg Config, o obs.Observer) (*Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return NewGraph(cfg.GraphSpec(), o)
 }
-
-// NewGenerationalShared creates the per-process half of a shared
-// generational manager for front-end process proc: a private nursery and
-// probation sized by the configuration's fractions, with the persistent tier
-// delegated to the given SharedPersistent. The configuration's
-// PersistentFrac describes the shared tier's share of a notional
-// per-process total; the shared tier itself is sized once at construction
-// by its creator.
-func NewGenerationalShared(cfg Config, shared *SharedPersistent, proc int, o obs.Observer) (*Generational, error) {
-	if shared == nil {
-		return nil, fmt.Errorf("core: shared generational manager needs a shared persistent tier")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return NewGraphShared(cfg.GraphSpec(), shared, proc, o)
-}
-
-// Compile-time interface check.
-var _ Manager = (*Graph)(nil)

@@ -61,8 +61,8 @@ func TestUnifiedBasics(t *testing.T) {
 	if u.Capacity() != 300 || u.Used() != 300 {
 		t.Errorf("capacity/used = %d/%d", u.Capacity(), u.Used())
 	}
-	if len(u.Levels()) != 1 {
-		t.Error("unified should report one level")
+	if w, ok := u.Where(1); ok && w != LevelUnified {
+		t.Errorf("unified trace lives in %v", w)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestLayoutPresets(t *testing.T) {
 
 // mkGen builds a small generational manager for behavioural tests:
 // 300-byte nursery, 300-byte probation, 400-byte persistent.
-func mkGen(t *testing.T, threshold uint64, promoteOnAccess bool, o obs.Observer) *Generational {
+func mkGen(t *testing.T, threshold uint64, promoteOnAccess bool, o obs.Observer) *Graph {
 	t.Helper()
 	g, err := NewGenerational(Config{
 		TotalCapacity:    1000,
@@ -529,7 +529,7 @@ func TestObserverFanOutProperty(t *testing.T) {
 			ec2 := stats.NewEventCounter()
 			bus := obs.NewBus(ec, ec2)
 
-			var mgr Manager
+			var mgr *Graph
 			if shape == "unified" {
 				mgr = NewUnified(4096, nil, bus)
 			} else {

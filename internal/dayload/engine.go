@@ -46,20 +46,22 @@ type Options struct {
 	// benches are synthesized at Scale. Sharing one map across arms keeps
 	// an A/B comparison byte-identical on input.
 	Logs map[string][]byte
-
-	// EventCost is the declared execution time per log event of the original
-	// program a session stands in for (default 10ms): a session holds its
-	// replay slot for as long as the traced production process would have
-	// run. A session's declared service time is
-	//
-	//	events × EventCost × (1 + MissFactor × missRate)
-	//
-	// so better cache behavior means shorter service, less slot occupancy,
-	// less queueing — the coupling that lets split quality move 429 counts.
-	EventCost time.Duration
-	// MissFactor is the service-time multiplier at miss rate 1 (default 4).
-	MissFactor float64
 }
+
+// A session holds its replay slot for as long as the traced production
+// process it stands in for would have run. Its declared service time is
+//
+//	events × eventCost × (1 + missFactor × missRate)
+//
+// so better cache behavior means shorter service, less slot occupancy, less
+// queueing — the coupling that lets split quality move 429 counts.
+const (
+	// eventCost is the declared execution time per log event of the
+	// original program.
+	eventCost = 10 * time.Millisecond
+	// missFactor is the service-time multiplier at miss rate 1.
+	missFactor = 4
+)
 
 func (o Options) withDefaults() Options {
 	if o.SharedCapacity == 0 {
@@ -73,12 +75,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TickEvery == 0 {
 		o.TickEvery = 5 * time.Minute
-	}
-	if o.EventCost == 0 {
-		o.EventCost = 10 * time.Millisecond
-	}
-	if o.MissFactor == 0 {
-		o.MissFactor = 4
 	}
 	return o
 }
@@ -293,7 +289,7 @@ func (e *engine) start(now time.Time, s *session) {
 
 // serviceTime is the modeled virtual duration a session occupies its slot.
 func (e *engine) serviceTime(events uint64, missRate float64) time.Duration {
-	declared := time.Duration(float64(events) * float64(e.opts.EventCost) * (1 + e.opts.MissFactor*missRate))
+	declared := time.Duration(float64(events) * float64(eventCost) * (1 + missFactor*missRate))
 	v := e.vdur(declared)
 	if v <= 0 {
 		v = time.Nanosecond

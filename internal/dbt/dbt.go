@@ -48,21 +48,8 @@ type Guest interface {
 
 // Config parameterizes the engine.
 type Config struct {
-	// Manager is the trace-cache manager. Either it or Tiers is required.
-	Manager core.Manager
-	// Tiers, when Manager is nil, describes a tier graph the engine builds
-	// itself at construction: a private core.NewGraph in single-process
-	// systems, a core.NewGraphShared over the system's shared tier in
-	// multi-process systems. The graph publishes its lifecycle events to
-	// Observer.
-	Tiers *core.GraphSpec
-	// Adaptive, when set alongside Tiers, attaches the adaptive split
-	// controller to the engine-built graph (overriding Tiers.Adaptive).
-	Adaptive *core.AdaptiveConfig
-	// Policy, when set alongside Tiers, applies a local-policy spec ("lru",
-	// "trrip:hot=8", "auto" for online selection) to every private tier of
-	// the engine-built graph that does not already name one.
-	Policy string
+	// Manager is the trace-cache manager (required).
+	Manager *core.Graph
 	// HotThreshold is the trace creation threshold (default 50, DynamoRIO's
 	// value per §4.1).
 	HotThreshold uint64
@@ -255,8 +242,8 @@ func (e *Process) TraceByID(id uint64) (*trace.Trace, bool) {
 
 // Preload registers already-built traces before the run starts — the
 // warm-start path for cross-run cache persistence. Traces go straight into
-// the persistent cache when the manager is generational, and through the
-// normal insertion path otherwise. Preloaded trace IDs must not collide;
+// the manager's final tier (on a one-tier graph, the whole cache, through
+// the normal insertion path). Preloaded trace IDs must not collide;
 // the engine's own IDs continue above the highest preloaded ID.
 func (e *Process) Preload(ts []*trace.Trace) error {
 	for _, t := range ts {
@@ -266,13 +253,7 @@ func (e *Process) Preload(ts []*trace.Trace) error {
 		if _, dup := e.byHead[t.Head]; dup {
 			return fmt.Errorf("dbt: preload: duplicate trace head %#x", t.Head)
 		}
-		var err error
-		if g, ok := e.cfg.Manager.(*core.Generational); ok {
-			err = g.InsertPersistent(e.fragmentOf(t))
-		} else {
-			err = e.cfg.Manager.Insert(e.fragmentOf(t))
-		}
-		if err != nil {
+		if err := e.cfg.Manager.InsertPersistent(e.fragmentOf(t)); err != nil {
 			return fmt.Errorf("dbt: preload trace %d: %w", t.ID, err)
 		}
 		e.traces[t.ID] = t

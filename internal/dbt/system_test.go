@@ -8,6 +8,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/program"
+	"repro/internal/trace"
 	"repro/internal/tracelog"
 	"repro/internal/vm"
 )
@@ -100,7 +101,7 @@ func sharedSystem(t *testing.T, img *program.Image, procs int, traceSize uint64,
 		PromoteOnAccess:  true,
 	}
 	for p := 0; p < procs; p++ {
-		mgr, err := core.NewGenerationalShared(cfg, sp, p, o)
+		mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, p, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +318,7 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 	shared := func() RunStats {
 		sp := core.NewSharedPersistent(uint64(float64(cfg.TotalCapacity)*cfg.PersistentFrac), nil, nil)
 		sys := NewSystem(sp)
-		mgr, err := core.NewGenerationalShared(cfg, sp, 0, nil)
+		mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,83 +337,76 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestConfigTiersBuildsGraph covers the Config.Tiers construction path: an
-// engine handed a tier spec instead of a manager must build the graph
-// itself — privately in a single-process system, over the shared tier in a
-// multi-process one — and behave exactly like an engine handed the
-// equivalent prebuilt manager.
-func TestConfigTiersBuildsGraph(t *testing.T) {
-	img := buildPluginHotProgram(t)
-	size := maxTraceSize(t, img)
-	cfg := core.Config{
-		TotalCapacity:    size * 9 / 2,
-		NurseryFrac:      1.0 / 3,
-		ProbationFrac:    1.0 / 3,
-		PersistentFrac:   1.0 / 3,
-		PromoteThreshold: 1,
-		PromoteOnAccess:  true,
+// TestPreloadLandsInFinalTier: Preload hands every trace to the manager's
+// InsertPersistent, so on a one-tier graph the traces enter the unified
+// cache through the normal insertion path, and on a shared graph they enter
+// the shared persistent tier owned by the preloading process.
+func TestPreloadLandsInFinalTier(t *testing.T) {
+	img := buildAlternatingLoops(t)
+	var ids []uint64
+	src, _ := runUnderEngine(t, img, Config{Manager: core.NewUnified(1<<30, nil, obs.Func(func(e obs.Event) {
+		if e.Kind == obs.KindInsert {
+			ids = append(ids, e.Trace)
+		}
+	}))})
+	var traces []*trace.Trace
+	for _, id := range ids {
+		tr, ok := src.TraceByID(id)
+		if !ok {
+			t.Fatalf("trace %d unknown to its engine", id)
+		}
+		traces = append(traces, tr)
+	}
+	if len(traces) == 0 {
+		t.Fatal("program generated no traces")
 	}
 
-	run := func(c Config) RunStats {
+	check := func(name string, g *core.Graph, p *Process, want core.Level) {
 		t.Helper()
-		e, err := New(img, c)
-		if err != nil {
-			t.Fatal(err)
+		if err := p.Preload(traces); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if err := e.Run(VMGuest{M: vm.New(img)}, 0); err != nil {
-			t.Fatal(err)
+		for _, tr := range traces {
+			if l, ok := g.Where(tr.ID); !ok || l != want {
+				t.Errorf("%s: trace %d in %v (resident %v), want %v", name, tr.ID, l, ok, want)
+			}
 		}
-		return e.Stats()
+		if s := g.Stats(); s.Inserts != uint64(len(traces)) {
+			t.Errorf("%s: %d inserts, want %d", name, s.Inserts, len(traces))
+		}
 	}
 
-	mgr, err := core.NewGenerational(cfg, nil)
+	u := core.NewUnified(1<<20, nil, nil)
+	e, err := New(img, Config{Manager: u})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := run(Config{Manager: mgr})
-	spec := cfg.GraphSpec()
-	viaTiers := run(Config{Tiers: &spec})
-	if plain != viaTiers {
-		t.Fatalf("Config.Tiers engine diverges from prebuilt manager:\nmanager: %+v\ntiers:   %+v", plain, viaTiers)
-	}
+	check("one-tier", u, e, core.LevelUnified)
 
-	// Shared system: the Tiers path must route through NewGraphShared.
-	sharedRun := func(tiers bool) RunStats {
-		t.Helper()
-		sp := core.NewSharedPersistent(uint64(float64(cfg.TotalCapacity)*cfg.PersistentFrac), nil, nil)
-		sys := NewSystem(sp)
-		var pcfg Config
-		if tiers {
-			s := cfg.GraphSpec()
-			pcfg = Config{Tiers: &s}
-		} else {
-			m, err := core.NewGenerationalShared(cfg, sp, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pcfg = Config{Manager: m}
-		}
-		p, err := sys.NewProcess(0, img, pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Run(VMGuest{M: vm.New(img)}, 0); err != nil {
-			t.Fatal(err)
-		}
-		return p.Stats()
+	sp := core.NewSharedPersistent(1<<20, nil, nil)
+	sys := NewSystem(sp)
+	g, err := core.NewGraphShared(core.Layout451045Threshold1(1<<20).GraphSpec(), sp, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m, g := sharedRun(false), sharedRun(true); m != g {
-		t.Fatalf("shared Config.Tiers engine diverges from prebuilt manager:\nmanager: %+v\ntiers:   %+v", m, g)
+	p, err := sys.NewProcess(1, img, Config{Manager: g})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if _, err := New(img, Config{}); err == nil {
-		t.Error("Config without Manager or Tiers should fail")
+	check("shared", g, p, core.LevelPersistent)
+	for _, tr := range traces {
+		if !sp.Contains(tr.ID) {
+			t.Errorf("shared: trace %d not in the shared tier", tr.ID)
+		}
+		if _, ok := sys.TraceByID(tr.ID); !ok {
+			t.Errorf("shared: trace %d body not registered with the system", tr.ID)
+		}
 	}
 }
 
-// TestConfigTiersAdaptive attaches the adaptive controller through
-// Config.Adaptive: the engine-built graph publishes its events to
-// Config.Observer, so applied capacity shifts surface as KindResize events.
+// TestConfigTiersAdaptive runs an engine over a graph prebuilt with the
+// adaptive controller in its spec: applied capacity shifts surface on the
+// graph's observer as KindResize events while the live engine drives it.
 // The guest is driven step-by-step: eight independent hot loops revisited in
 // rounds through a cache that holds only a few of their traces, so every
 // round churns traces out and back in — the eviction-then-re-access pattern
@@ -466,8 +460,7 @@ func TestConfigTiersAdaptive(t *testing.T) {
 		t.Fatal("no traces created")
 	}
 
-	// A graph holding roughly half the traces, short epochs, and the
-	// controller attached via Config.Adaptive rather than the spec.
+	// A graph holding roughly half the traces, with short epochs.
 	spec := core.Config{
 		TotalCapacity:    traceBytes / 2,
 		NurseryFrac:      1.0 / 3,
@@ -476,16 +469,17 @@ func TestConfigTiersAdaptive(t *testing.T) {
 		PromoteThreshold: 1,
 		PromoteOnAccess:  true,
 	}.GraphSpec()
+	spec.Adaptive = &core.AdaptiveConfig{Epoch: 32}
 	var resizes int
-	e, err := New(img, Config{
-		Tiers:    &spec,
-		Adaptive: &core.AdaptiveConfig{Epoch: 32},
-		Observer: obs.Func(func(ev obs.Event) {
-			if ev.Kind == obs.KindResize {
-				resizes++
-			}
-		}),
-	})
+	g, err := core.NewGraph(spec, obs.Func(func(ev obs.Event) {
+		if ev.Kind == obs.KindResize {
+			resizes++
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(img, Config{Manager: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,6 +488,6 @@ func TestConfigTiersAdaptive(t *testing.T) {
 		t.Fatal("half-capacity run produced no conflict misses; workload too small to exercise the controller")
 	}
 	if resizes == 0 {
-		t.Error("adaptive controller applied no resizes; Config.Adaptive did not take effect")
+		t.Error("adaptive controller applied no resizes under a live engine")
 	}
 }

@@ -135,7 +135,7 @@ func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsol
 	sys := dbt.NewSystem(sp)
 	guests := make([]dbt.Guest, procs)
 	for p := 0; p < procs; p++ {
-		mgr, err := core.NewGenerationalShared(cfg, sp, p, sim.CostObserver(shMgrCost))
+		mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, p, sim.CostObserver(shMgrCost))
 		if err != nil {
 			return row, err
 		}

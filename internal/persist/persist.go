@@ -39,9 +39,7 @@ import (
 // selector had live at snapshot time — so a warm start rebuilds the same
 // cache geometry and resumes the selected policy without out-of-band
 // configuration. Version-2 files (spec without policies) and version-1 files
-// (traces only, no spec) still load; Image.Spec is nil for v1. Predictor
-// gates do not persist — a spec round-trips its threshold form, the only
-// gate the paper's configurations use.
+// (traces only, no spec) still load; Image.Spec is nil for v1.
 const (
 	magicV1 = "CCPERSIST1\n"
 	magicV2 = "CCPERSIST2\n"
@@ -99,8 +97,6 @@ type TierImage struct {
 }
 
 // SpecOf converts a graph specification into its serializable form.
-// Predictor gates are not representable; the spec's threshold form is
-// captured instead.
 func SpecOf(spec core.GraphSpec) *SpecImage {
 	si := &SpecImage{TotalCapacity: spec.TotalCapacity}
 	for _, t := range spec.Tiers {
@@ -128,11 +124,11 @@ func (si *SpecImage) GraphSpec() core.GraphSpec {
 	return spec
 }
 
-// Snapshot captures the current contents of a generational manager's
-// persistent cache (the traces that earned promotion). lookup resolves a
-// trace ID to its materialized trace (the engine's TraceByID); traces the
-// engine no longer knows are skipped.
-func Snapshot(benchmark string, g *core.Generational, lookup func(uint64) (*trace.Trace, bool)) Image {
+// Snapshot captures the current contents of a manager's final (persistent)
+// cache: the traces that earned promotion. lookup resolves a trace ID to its
+// materialized trace (the engine's TraceByID); traces the engine no longer
+// knows are skipped.
+func Snapshot(benchmark string, g *core.Graph, lookup func(uint64) (*trace.Trace, bool)) Image {
 	img := Image{Benchmark: benchmark, Spec: SpecOf(g.Spec())}
 	// Record the live per-tier policies: a tier under online selection
 	// persists "auto:NAME" so the warm restart resumes the selected policy
@@ -424,10 +420,10 @@ type WarmStats struct {
 // trace. Return false to reject.
 type Validator func(Record) bool
 
-// Warm pre-populates a fresh generational manager's persistent cache from a
-// saved image. genCost gives the per-trace regeneration cost being avoided
+// Warm pre-populates a fresh manager's final (persistent) cache from a saved
+// image. genCost gives the per-trace regeneration cost being avoided
 // (use costmodel.Model.TraceGen).
-func Warm(g *core.Generational, img Image, validate Validator, genCost func(sizeBytes int) float64) WarmStats {
+func Warm(g *core.Graph, img Image, validate Validator, genCost func(sizeBytes int) float64) WarmStats {
 	var ws WarmStats
 	for _, r := range img.Records {
 		if validate != nil && !validate(r) {

@@ -17,7 +17,7 @@ import (
 
 // populated builds a generational manager with some traces promoted into
 // the persistent cache.
-func populated(t *testing.T) *core.Generational {
+func populated(t *testing.T) *core.Graph {
 	t.Helper()
 	g, err := core.NewGenerational(core.Config{
 		TotalCapacity:    3000,
@@ -210,7 +210,7 @@ func TestWarmStartEndToEnd(t *testing.T) {
 	}
 	capacity := uint64(256 << 10)
 
-	runOnce := func(preloaded []*trace.Trace) (dbt.RunStats, *core.Generational, *dbt.Engine) {
+	runOnce := func(preloaded []*trace.Trace) (dbt.RunStats, *core.Graph, *dbt.Engine) {
 		g, err := core.NewGenerational(core.Layout451045Threshold1(capacity), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -327,7 +327,7 @@ func TestWarmSharedRefcounts(t *testing.T) {
 		sp := core.NewSharedPersistent(spCap, nil, nil)
 		sys := dbt.NewSystem(sp)
 		for proc := 0; proc < 2; proc++ {
-			mgr, err := core.NewGenerationalShared(cfg, sp, proc, nil)
+			mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, proc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,7 +54,7 @@ func (r SharedResult) MissRate() float64 {
 
 // sharedProc is one simulated process's replay state.
 type sharedProc struct {
-	mgr *core.Generational
+	mgr *core.Graph
 	// binding maps an original log trace ID to the ID this process actually
 	// executes: its own remapped copy, or an adopted peer ID.
 	binding map[uint64]uint64

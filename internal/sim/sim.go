@@ -61,11 +61,10 @@ const ProgressStride = 1 << 14
 // is bit-identical to an offline one by construction. A Replayer is
 // single-goroutine, like the manager it drives.
 type Replayer struct {
-	mgr core.Manager
-	// ra is mgr's batched access entry point, when it offers one; StepBlock
-	// drains access runs through it. Cleared on the manager's first -1
-	// ("cannot batch") answer.
-	ra core.RunAccessor
+	mgr *core.Graph
+	// batch routes StepBlock's access runs through mgr.AccessRun. Cleared on
+	// the manager's first -1 ("cannot batch") answer.
+	batch bool
 	// led is the manager's attribution ledger, when one is attached: the
 	// replay registers trace identities (module, size, cold-vs-adopted) so
 	// even traces whose insert is dropped under capacity pressure stay
@@ -126,7 +125,7 @@ const maxDenseTrace = 1 << 22
 //
 // The replayer's meta tables come from a pool; a caller that is done with
 // the replayer (and its Result) may return them with Recycle.
-func NewReplayer(benchmark string, mgr core.Manager, acc *costmodel.Accum, o obs.Observer) *Replayer {
+func NewReplayer(benchmark string, mgr *core.Graph, acc *costmodel.Accum, o obs.Observer) *Replayer {
 	s := scratchPool.Get().(*scratch)
 	r := &Replayer{
 		mgr: mgr,
@@ -139,10 +138,8 @@ func NewReplayer(benchmark string, mgr core.Manager, acc *costmodel.Accum, o obs
 		},
 		dense:    s.dense[:0],
 		byModule: s.byModule,
-	}
-	r.ra, _ = mgr.(core.RunAccessor)
-	if lm, ok := mgr.(interface{ Ledger() *attrib.Ledger }); ok {
-		r.led = lm.Ledger()
+		batch:    true,
+		led:      mgr.Ledger(),
 	}
 	return r
 }
@@ -350,7 +347,7 @@ func ReplayGraph(benchmark string, events []tracelog.Event, spec core.GraphSpec,
 // The replay runs through the batched kernel — the same StepBlock path the
 // gencached ingest uses — packed from the in-memory slice a block at a time,
 // so offline results and served results come off one code path.
-func Replay(benchmark string, events []tracelog.Event, mgr core.Manager, acc *costmodel.Accum, o obs.Observer) (Result, error) {
+func Replay(benchmark string, events []tracelog.Event, mgr *core.Graph, acc *costmodel.Accum, o obs.Observer) (Result, error) {
 	rep := NewReplayer(benchmark, mgr, acc, o)
 	defer rep.Recycle()
 	rep.SetTotal(uint64(len(events)))

@@ -22,9 +22,9 @@ import (
 // Re-exported types. Aliases keep the implementation in focused internal
 // packages while giving users a single import.
 type (
-	// Manager is a global code-cache management scheme (unified or
-	// generational).
-	Manager = core.Manager
+	// Manager is the global code-cache manager: a tier graph, unified or
+	// generational.
+	Manager = *core.Graph
 	// Observer receives cache-lifecycle events (inserts, evictions,
 	// promotions, unmaps, link severs, flushes, replay progress).
 	Observer = obs.Observer
@@ -99,13 +99,13 @@ var DefaultCostModel = costmodel.DefaultModel
 
 // NewUnified creates a single trace cache of the given capacity managed by
 // the §4.3 pseudo-circular policy (the paper's baseline). o may be nil.
-func NewUnified(capacity uint64, o Observer) *core.Unified {
+func NewUnified(capacity uint64, o Observer) Manager {
 	return core.NewUnified(capacity, nil, o)
 }
 
 // NewUnifiedWithPolicy creates a unified cache with an explicit local
 // replacement policy. o may be nil.
-func NewUnifiedWithPolicy(capacity uint64, local LocalPolicy, o Observer) *core.Unified {
+func NewUnifiedWithPolicy(capacity uint64, local LocalPolicy, o Observer) Manager {
 	return core.NewUnified(capacity, local, o)
 }
 
@@ -132,7 +132,7 @@ func ParsePolicy(spec string) (PolicyFactory, error) { return policy.Parse(spec)
 func Policies() []PolicyInfo { return policy.List() }
 
 // NewGenerational creates the paper's generational manager. o may be nil.
-func NewGenerational(cfg GenerationalConfig, o Observer) (*core.Generational, error) {
+func NewGenerational(cfg GenerationalConfig, o Observer) (Manager, error) {
 	return core.NewGenerational(cfg, o)
 }
 
@@ -143,7 +143,7 @@ func BestLayout(totalCapacity uint64) GenerationalConfig {
 }
 
 // The tier-graph API (internal/core): a manager as an arbitrary chain of
-// tiers with declarative eviction edges. The stock Unified and Generational
+// tiers with declarative eviction edges. The stock unified and generational
 // managers are prebuilt graphs; these exports build any other shape.
 type (
 	// TierGraph is a manager built from a declarative tier specification.
@@ -234,7 +234,7 @@ func ReplayGenerational(benchmark string, events []Event, cfg GenerationalConfig
 	return ReplayTierGraph(benchmark, events, cfg.GraphSpec())
 }
 
-// ReplayWith replays a log under an arbitrary manager. mk receives the
+// ReplayWith replays a log under a caller-built manager. mk receives the
 // observer that charges evictions and promotions to the replay's cost
 // accumulator and must return a freshly constructed manager wired to it
 // (fan additional observers in with an EventBus).
@@ -267,7 +267,7 @@ type (
 
 // SnapshotPersistent captures a generational manager's persistent cache,
 // resolving trace bodies through the engine.
-func SnapshotPersistent(benchmark string, g *core.Generational, e *Engine) PersistImage {
+func SnapshotPersistent(benchmark string, g Manager, e *Engine) PersistImage {
 	return persist.Snapshot(benchmark, g, e.TraceByID)
 }
 

@@ -15,6 +15,10 @@ fi
 
 go vet ./...
 go build ./...
+# The benchmark module (perfbench/, its own go.mod) calls repo APIs; build and
+# vet it here so an API change that breaks it fails the gate, not the
+# benchmark run.
+(cd perfbench && go build ./... && go vet ./...)
 go test -race ./...
 # Benchmark smoke run: one iteration of everything, so benchmarks can't rot.
 go test -run '^$' -bench . -benchtime 1x .
