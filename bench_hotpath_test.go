@@ -76,14 +76,12 @@ func hotLoopSteps(img *program.Image) (warm, steady []dbt.Step) {
 	return warm, steady
 }
 
-// newHotEngine builds an engine over the loop image, warmed to steady state:
-// every loop's trace exists and every cross-loop link is in place.
-func newHotEngine(tb testing.TB, img *program.Image, warm []dbt.Step, slow bool) *dbt.Engine {
+// newHotEngine builds an engine over the loop image under manager g, warmed
+// to steady state: every loop's trace exists and every cross-loop link is in
+// place.
+func newHotEngine(tb testing.TB, img *program.Image, warm []dbt.Step, g *core.Graph) *dbt.Process {
 	tb.Helper()
-	eng, err := dbt.New(img, dbt.Config{
-		Manager:      core.NewUnified(1<<30, nil, nil),
-		SlowDispatch: slow,
-	})
+	eng, err := dbt.New(img, dbt.Config{Manager: g})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -101,7 +99,7 @@ func newHotEngine(tb testing.TB, img *program.Image, warm []dbt.Step, slow bool)
 func BenchmarkDispatchSteadyState(b *testing.B) {
 	img := buildHotLoopImage(b)
 	warm, steady := hotLoopSteps(img)
-	eng := newHotEngine(b, img, warm, false)
+	eng := newHotEngine(b, img, warm, core.NewUnified(1<<30, nil, nil))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -115,7 +113,7 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 // with the adaptive split controller attached — the dispatch path every
 // manager shares now that the unified and generational shapes are stock graphs, plus
 // the controller's per-access sampling.
-func newHotGraphEngine(tb testing.TB, img *program.Image, warm []dbt.Step) *dbt.Engine {
+func newHotGraphEngine(tb testing.TB, img *program.Image, warm []dbt.Step) *dbt.Process {
 	tb.Helper()
 	spec, err := core.ParseTierSpec("45-10-45@1", 1<<30)
 	if err != nil {
@@ -126,16 +124,7 @@ func newHotGraphEngine(tb testing.TB, img *program.Image, warm []dbt.Step) *dbt.
 	if err != nil {
 		tb.Fatal(err)
 	}
-	eng, err := dbt.New(img, dbt.Config{Manager: g})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, s := range warm {
-		if err := eng.Observe(s); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return eng
+	return newHotEngine(tb, img, warm, g)
 }
 
 // BenchmarkDispatchGraphSteadyState is the steady-state dispatch workload
@@ -145,22 +134,6 @@ func BenchmarkDispatchGraphSteadyState(b *testing.B) {
 	img := buildHotLoopImage(b)
 	warm, steady := hotLoopSteps(img)
 	eng := newHotGraphEngine(b, img, warm)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.Observe(steady[i%len(steady)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDispatchSteadyStateSlow is the same workload with SlowDispatch
-// forcing the original map-based lookups — the pre-optimization baseline,
-// kept measurable so the speedup stays tracked.
-func BenchmarkDispatchSteadyStateSlow(b *testing.B) {
-	img := buildHotLoopImage(b)
-	warm, steady := hotLoopSteps(img)
-	eng := newHotEngine(b, img, warm, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -257,7 +230,7 @@ func BenchmarkObserverEmitDetached(b *testing.B) {
 func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 	img := buildHotLoopImage(t)
 	warm, steady := hotLoopSteps(img)
-	eng := newHotEngine(t, img, warm, false)
+	eng := newHotEngine(t, img, warm, core.NewUnified(1<<30, nil, nil))
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, s := range steady {
 			if err := eng.Observe(s); err != nil {

@@ -15,9 +15,9 @@
 //   - internal/isa, internal/program, internal/vm — the synthetic guest
 //     architecture: instruction set, program images with modules/DLLs, and
 //     a reference interpreter;
-//   - internal/bbcache, internal/trace, internal/dbt — the dynamic-
-//     optimizer front end: basic-block cache, NET trace selection,
-//     superblock construction with relocation, and the engine;
+//   - internal/trace, internal/dbt — the dynamic-optimizer front end: NET
+//     trace selection, superblock construction with relocation, and the
+//     engine with its basic-block cache and trace-head counters;
 //   - internal/workload — calibrated synthetic stand-ins for SPEC2000 and
 //     the paper's twelve interactive Windows applications;
 //   - internal/tracelog, internal/sim — the verbose cache-event log and the

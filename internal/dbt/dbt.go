@@ -11,7 +11,6 @@ package dbt
 import (
 	"fmt"
 
-	"repro/internal/bbcache"
 	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -78,11 +77,14 @@ type Config struct {
 	// every materialized superblock, shrinking trace bodies before they
 	// enter the cache.
 	Optimize bool
-	// SlowDispatch forces the engine's original map-based dispatch path
-	// instead of the dense-index fast path. The two must produce identical
-	// run statistics and event streams; equivalence tests flip this flag.
-	SlowDispatch bool
 }
+
+// blockOverheadBytes is the per-block expansion the basic-block cache copier
+// adds: an entry prologue plus two exit stubs, mirroring DynamoRIO-era
+// overheads where each cached block carries linkable exit stubs back to the
+// dispatcher. It is the main contributor to the ~500% code expansion of
+// Figure 2.
+const blockOverheadBytes = 64
 
 // RunStats aggregates one engine run.
 type RunStats struct {
@@ -140,22 +142,19 @@ type Process struct {
 	acc   *costmodel.Accum
 
 	img    *program.Image
-	bb     *bbcache.Cache
-	heads  *bbcache.HeadTable
 	traces map[uint64]*trace.Trace // by trace ID
-	byHead map[uint64]*trace.Trace // generated trace for each head address
 	byMod  map[program.ModuleID][]uint64
 
-	// Dense dispatch tables, indexed by program.Block.Index. They mirror the
-	// maps above (which stay authoritative and always maintained, so the
-	// SlowDispatch path and the preload/unload slow paths keep working):
-	// traceAt[i] is the generated trace whose head is block i, headAt[i] is
-	// block i's trace-head entry, bbIn[i] reports bb-cache residency. slow
-	// selects which side the per-step reads use.
-	slow    bool
+	// Per-block state, indexed by program.Block.Index; one table per fact.
+	// traceAt[i] is the trace headed at block i, or nil. heads[i] is 0 while
+	// block i is not a trace head; marking it sets 1 and every dispatch to
+	// it adds one, so the head is hot once heads[i] exceeds HotThreshold.
+	// bbIn[i] reports whether block i is in the basic-block cache, which
+	// holds bbBytes bytes in all.
 	traceAt []*trace.Trace
-	headAt  []*bbcache.Head
+	heads   []uint64
 	bbIn    []bool
+	bbBytes uint64
 
 	// isHeadFn is the recorder's head-stop predicate, hoisted here so record
 	// does not allocate a closure per recorded block.
@@ -180,11 +179,6 @@ type Process struct {
 	links *linker.Table
 }
 
-// Engine is the historical name for the single-process front-end; existing
-// callers and tests keep using it. New multi-process code should say
-// Process.
-type Engine = Process
-
 // threadCtx is one guest thread's translation state: where it is inside a
 // trace, what it is recording, and its linking candidate.
 type threadCtx struct {
@@ -206,7 +200,7 @@ type threadCtx struct {
 // New creates a single-process engine for the guest's image: one Process
 // over a fresh System with no shared persistent tier. Multi-process systems
 // construct a System explicitly and call NewProcess on it.
-func New(img *program.Image, cfg Config) (*Engine, error) {
+func New(img *program.Image, cfg Config) (*Process, error) {
 	return NewSystem(nil).NewProcess(0, img, cfg)
 }
 
@@ -216,20 +210,20 @@ func (e *Process) Overhead() *costmodel.Accum { return e.acc }
 // Stats returns the current run statistics.
 func (e *Process) Stats() RunStats {
 	s := e.stats
-	s.BBBytes = e.bb.Bytes()
-	s.FinalCacheBytes = e.bb.Bytes() + e.cfg.Manager.Used()
+	s.BBBytes = e.bbBytes
+	s.FinalCacheBytes = e.bbBytes + e.cfg.Manager.Used()
 	s.EndTime = e.now
 	return s
 }
 
 // TraceFor returns the generated trace for a head address, if any.
 func (e *Process) TraceFor(head uint64) (*trace.Trace, bool) {
-	t, ok := e.byHead[head]
-	return t, ok
+	if b := e.img.BlockFast(head); b != nil {
+		t := e.traceAt[b.Index]
+		return t, t != nil
+	}
+	return nil, false
 }
-
-// Heads returns the head table (for tests and tools).
-func (e *Process) Heads() *bbcache.HeadTable { return e.heads }
 
 // Links returns the trace link table (for tests and tools).
 func (e *Process) Links() *linker.Table { return e.links }
@@ -243,33 +237,48 @@ func (e *Process) TraceByID(id uint64) (*trace.Trace, bool) {
 // Preload registers already-built traces before the run starts — the
 // warm-start path for cross-run cache persistence. Traces go straight into
 // the manager's final tier (on a one-tier graph, the whole cache, through
-// the normal insertion path). Preloaded trace IDs must not collide;
-// the engine's own IDs continue above the highest preloaded ID.
+// the normal insertion path). Preloaded trace IDs and heads must not
+// collide, and every head must be a block of the image; the engine's own
+// IDs continue above the highest preloaded ID.
 func (e *Process) Preload(ts []*trace.Trace) error {
 	for _, t := range ts {
 		if _, dup := e.traces[t.ID]; dup {
 			return fmt.Errorf("dbt: preload: duplicate trace ID %d", t.ID)
 		}
-		if _, dup := e.byHead[t.Head]; dup {
+		hb := e.img.BlockFast(t.Head)
+		if hb == nil {
+			return fmt.Errorf("dbt: preload: trace %d head %#x is not a block of the image", t.ID, t.Head)
+		}
+		if e.traceAt[hb.Index] != nil {
 			return fmt.Errorf("dbt: preload: duplicate trace head %#x", t.Head)
 		}
 		if err := e.cfg.Manager.InsertPersistent(e.fragmentOf(t)); err != nil {
 			return fmt.Errorf("dbt: preload trace %d: %w", t.ID, err)
 		}
-		e.traces[t.ID] = t
-		e.byHead[t.Head] = t
-		e.byMod[t.Module] = append(e.byMod[t.Module], t.ID)
-		h := e.heads.Mark(t.Head, t.Module)
-		h.TraceID = t.ID
-		if hb, ok := e.img.Block(t.Head); ok {
-			e.headAt[hb.Index] = h
-			e.traceAt[hb.Index] = t
-		}
+		e.addTrace(t, hb)
 		e.sys.ensureIDAbove(t.ID)
 		e.sys.register(t)
 	}
 	e.trackPeak()
 	return nil
+}
+
+// addTrace registers t in this process's tables as the trace headed at
+// block hb.
+func (e *Process) addTrace(t *trace.Trace, hb *program.Block) {
+	e.traces[t.ID] = t
+	e.traceAt[hb.Index] = t
+	e.byMod[t.Module] = append(e.byMod[t.Module], t.ID)
+}
+
+// markExits marks t's statically known exit targets as trace heads (§4.1
+// rule b), so they are counted once execution reaches them.
+func (e *Process) markExits(t *trace.Trace) {
+	for _, target := range t.ExitTargets {
+		if tb, ok := e.img.Block(target); ok {
+			e.markHead(tb)
+		}
+	}
 }
 
 // threadFor returns the context for a guest thread, creating it on first
@@ -296,31 +305,11 @@ func (e *Process) threadFor(id int) *threadCtx {
 	return c
 }
 
-// lookupBlock resolves an executing guest address to its block, or nil. The
-// fast path touches no maps; SlowDispatch forces the original map lookup.
-func (e *Process) lookupBlock(addr uint64) *program.Block {
-	if e.slow {
-		b, ok := e.img.Block(addr)
-		if !ok {
-			return nil
-		}
-		return b
+// markHead marks blk as a trace head (idempotent).
+func (e *Process) markHead(blk *program.Block) {
+	if e.heads[blk.Index] == 0 {
+		e.heads[blk.Index] = 1
 	}
-	return e.img.BlockFast(addr)
-}
-
-// markHead marks blk as a trace head in the table and the dense mirror. On
-// the fast path an already-marked head is answered from the mirror without
-// touching the map (the mirror holds exactly the marked heads).
-func (e *Process) markHead(blk *program.Block) *bbcache.Head {
-	if !e.slow {
-		if h := e.headAt[blk.Index]; h != nil {
-			return h
-		}
-	}
-	h := e.heads.Mark(blk.Addr, blk.Module)
-	e.headAt[blk.Index] = h
-	return h
 }
 
 // Run drives the guest to completion (or until maxBlocks guest blocks have
@@ -358,7 +347,7 @@ func (e *Process) Observe(step Step) error {
 	c := e.threadFor(step.Thread)
 	e.cur = c
 
-	blk := e.lookupBlock(step.Block)
+	blk := e.img.BlockFast(step.Block)
 	if blk == nil {
 		return fmt.Errorf("dbt: guest executed unknown block %#x", step.Block)
 	}
@@ -393,10 +382,9 @@ func (e *Process) Observe(step Step) error {
 	return e.dispatch(blk)
 }
 
-// dispatch handles a block executed outside any trace body. The fast path
-// resolves the head table and trace-by-head map through dense slices indexed
-// by blk.Index, with a per-thread inline cache short-circuiting the common
-// same-head re-dispatch; SlowDispatch forces the original map lookups.
+// dispatch handles a block executed outside any trace body. It reads the
+// per-block tables at blk.Index, with a per-thread inline cache
+// short-circuiting the common same-head re-dispatch.
 func (e *Process) dispatch(blk *program.Block) error {
 	e.stats.Dispatches++
 	c := e.cur
@@ -413,29 +401,17 @@ func (e *Process) dispatch(blk *program.Block) error {
 		return e.record(blk)
 	}
 
-	if e.slow {
-		if t, ok := e.byHead[blk.Addr]; ok {
-			return e.enterTrace(t, blk)
-		}
-	} else {
-		if c.icHead == blk.Addr && c.icTrace != nil {
-			return e.enterTrace(c.icTrace, blk)
-		}
-		if t := e.traceAt[blk.Index]; t != nil {
-			c.icHead, c.icTrace = blk.Addr, t
-			return e.enterTrace(t, blk)
-		}
+	if c.icHead == blk.Addr && c.icTrace != nil {
+		return e.enterTrace(c.icTrace, blk)
+	}
+	if t := e.traceAt[blk.Index]; t != nil {
+		c.icHead, c.icTrace = blk.Addr, t
+		return e.enterTrace(t, blk)
 	}
 
-	var h *bbcache.Head
-	if e.slow {
-		h, _ = e.heads.Lookup(blk.Addr)
-	} else {
-		h = e.headAt[blk.Index]
-	}
-	if h != nil {
-		h.Count++
-		if h.Count >= e.cfg.HotThreshold {
+	if n := e.heads[blk.Index]; n != 0 {
+		e.heads[blk.Index] = n + 1
+		if n >= e.cfg.HotThreshold {
 			// Adoption: another process of this System may already have
 			// published a trace for this head in the shared persistent tier.
 			// Attaching to it skips trace generation entirely — the
@@ -570,7 +546,8 @@ func (e *Process) materialize() error {
 		e.stats.RecordingAborted++
 		return nil
 	}
-	if _, dup := e.byHead[rec.Blocks()[0].Addr]; dup {
+	hb := rec.Blocks()[0]
+	if e.traceAt[hb.Index] != nil {
 		// Another guest thread materialized a trace for this head while we
 		// were recording; keep the first one.
 		e.stats.RecordingAborted++
@@ -587,20 +564,8 @@ func (e *Process) materialize() error {
 		e.stats.OptimizedBytes += uint64(r.Saved())
 	}
 	e.sys.register(t)
-	e.traces[t.ID] = t
-	e.byHead[t.Head] = t
-	e.byMod[t.Module] = append(e.byMod[t.Module], t.ID)
-	e.traceAt[rec.Blocks()[0].Index] = t
-	if h, ok := e.heads.Lookup(t.Head); ok {
-		h.TraceID = t.ID
-	}
-	// Exits from this trace become trace heads once execution reaches
-	// them; mark the statically known ones now.
-	for _, target := range t.ExitTargets {
-		if tb, ok := e.img.Block(target); ok {
-			e.markHead(tb)
-		}
-	}
+	e.addTrace(t, hb)
+	e.markExits(t)
 
 	e.stats.TracesCreated++
 	e.stats.TraceBytes += uint64(t.Size())
@@ -633,18 +598,8 @@ func (e *Process) materialize() error {
 // already happened in System.adopt. The adoption is logged so replays can
 // tell amortized attachments from paid generations.
 func (e *Process) adoptTrace(t *trace.Trace, blk *program.Block) error {
-	e.traces[t.ID] = t
-	e.byHead[t.Head] = t
-	e.byMod[t.Module] = append(e.byMod[t.Module], t.ID)
-	e.traceAt[blk.Index] = t
-	if h, ok := e.heads.Lookup(t.Head); ok {
-		h.TraceID = t.ID
-	}
-	for _, target := range t.ExitTargets {
-		if tb, ok := e.img.Block(target); ok {
-			e.markHead(tb)
-		}
-	}
+	e.addTrace(t, blk)
+	e.markExits(t)
 	e.stats.SharedAdopted++
 	if e.cfg.Log != nil {
 		return e.cfg.Log.Write(tracelog.Event{
@@ -680,16 +635,12 @@ func (e *Process) fragmentOf(t *trace.Trace) codecache.Fragment {
 }
 
 // bbExecute runs a block from the basic-block cache, copying it in first if
-// needed. Residency is checked through the dense mirror on the fast path.
+// needed.
 func (e *Process) bbExecute(blk *program.Block) {
 	e.cur.exitedTrace = 0 // untranslated code intervened; no direct link
-	resident := e.bbIn[blk.Index]
-	if e.slow {
-		resident = e.bb.Has(blk.Addr)
-	}
-	if !resident {
-		e.bb.CopyIn(blk)
+	if !e.bbIn[blk.Index] {
 		e.bbIn[blk.Index] = true
+		e.bbBytes += uint64(blk.Size()) + blockOverheadBytes
 		e.stats.BBCopied++
 		e.trackPeak()
 	}
@@ -727,21 +678,21 @@ func (e *Process) unloadModule(m program.ModuleID) error {
 			e.stats.UnmappedBytes += uint64(t.Size())
 			e.severLinks(id)
 			delete(e.traces, id)
-			delete(e.byHead, t.Head)
 		}
 	}
 	delete(e.byMod, m)
-	e.bb.DeleteModule(m)
-	e.heads.DeleteModule(m)
 
-	// Clear the dense mirrors for every block of the module (all forgotten
-	// traces, heads, and bb-cache entries live at module-m block indices) and
-	// drop every thread's inline cache, which may point at a deleted trace.
+	// Forget every block of the module: its traces (a trace's head lies in
+	// its own module), head counters and basic-block cache entries. Drop
+	// every thread's inline cache too, which may point at a deleted trace.
 	if mod := e.img.Module(m); mod != nil {
 		for _, fn := range mod.Functions {
 			for _, b := range fn.Blocks {
+				if e.bbIn[b.Index] {
+					e.bbBytes -= uint64(b.Size()) + blockOverheadBytes
+				}
 				e.traceAt[b.Index] = nil
-				e.headAt[b.Index] = nil
+				e.heads[b.Index] = 0
 				e.bbIn[b.Index] = false
 			}
 		}
@@ -757,7 +708,7 @@ func (e *Process) unloadModule(m program.ModuleID) error {
 }
 
 func (e *Process) trackPeak() {
-	total := e.bb.Bytes() + e.cfg.Manager.Used()
+	total := e.bbBytes + e.cfg.Manager.Used()
 	if total > e.stats.PeakCacheBytes {
 		e.stats.PeakCacheBytes = total
 	}

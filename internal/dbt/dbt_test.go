@@ -38,7 +38,7 @@ func buildLoopProgram(t *testing.T, iters int64) *program.Image {
 	return img
 }
 
-func runUnderEngine(t *testing.T, img *program.Image, cfg Config) (*Engine, *vm.Machine) {
+func runUnderEngine(t *testing.T, img *program.Image, cfg Config) (*Process, *vm.Machine) {
 	t.Helper()
 	if cfg.Manager == nil {
 		cfg.Manager = core.NewUnified(1<<20, nil, nil)
@@ -586,5 +586,141 @@ func TestEngineDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("nondeterministic engine:\n%+v\n%+v", a, b)
+	}
+}
+
+// buildPluginLoop builds an executable with one straight-line block and a
+// plugin module holding a self-looping block: the smallest image with a
+// module to unload and a trace head inside it.
+func buildPluginLoop(t *testing.T) (img *program.Image, exe, loop *program.Block) {
+	t.Helper()
+	b := program.NewBuilder()
+	m1 := b.Module("exe", false)
+	m2 := b.Module("plugin", true)
+	fb1, f1 := m1.Function("main")
+	fb1.Block()
+	fb1.I(isa.Inst{Op: isa.OpNop})
+	fb1.Halt()
+	fb2, _ := m2.Function("loop")
+	l := fb2.NewBlock()
+	fb2.StartBlock(l)
+	fb2.I(isa.Inst{Op: isa.OpAddImm, Rd: 1, Rs1: 1, Imm: 1})
+	fb2.I(isa.Inst{Op: isa.OpCmpImm, Rs1: 1, Imm: 1000})
+	fb2.Jcc(isa.CondLT, l)
+	fb2.Block()
+	fb2.Halt()
+	b.SetEntry(f1)
+	img, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img, img.Modules[0].Functions[0].Blocks[0], img.Modules[1].Functions[0].Blocks[0]
+}
+
+func observeN(t *testing.T, e *Process, s Step, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := e.Observe(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBBCacheCopyIn: each block is copied into the basic-block cache once,
+// at its size plus blockOverheadBytes; running it again copies nothing.
+func TestBBCacheCopyIn(t *testing.T) {
+	img, exe, loop := buildPluginLoop(t)
+	e, err := New(img, Config{Manager: core.NewUnified(1<<20, nil, nil), HotThreshold: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := bbCheck(t, e)
+	exeBytes := uint64(exe.Size()) + blockOverheadBytes
+	loopBytes := uint64(loop.Size()) + blockOverheadBytes
+	check("empty", 0, 0)
+	observeN(t, e, Step{Block: exe.Addr}, 1)
+	check("first run", 1, exeBytes)
+	observeN(t, e, Step{Block: exe.Addr}, 2)
+	check("reruns", 1, exeBytes)
+	observeN(t, e, Step{Block: loop.Addr}, 3)
+	check("both run", 2, exeBytes+loopBytes)
+}
+
+// TestBBCacheDeleteModule: an unload removes exactly the module's blocks, a
+// second unload of the same module removes nothing, and the unloaded blocks
+// are copied afresh if they run again.
+func TestBBCacheDeleteModule(t *testing.T) {
+	img, exe, loop := buildPluginLoop(t)
+	e, err := New(img, Config{Manager: core.NewUnified(1<<20, nil, nil), HotThreshold: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := bbCheck(t, e)
+	exeBytes := uint64(exe.Size()) + blockOverheadBytes
+	loopBytes := uint64(loop.Size()) + blockOverheadBytes
+	observeN(t, e, Step{Block: exe.Addr}, 1)
+	observeN(t, e, Step{Block: loop.Addr}, 1)
+	unload := Step{Block: exe.Addr, Unloaded: []program.ModuleID{loop.Module}}
+	observeN(t, e, unload, 1)
+	check("plugin unloaded", 2, exeBytes)
+	observeN(t, e, unload, 1)
+	check("plugin unloaded twice", 2, exeBytes)
+	observeN(t, e, Step{Block: loop.Addr}, 1)
+	check("plugin rerun", 3, exeBytes+loopBytes)
+}
+
+// bbCheck returns a check of e's basic-block copy count and byte total.
+func bbCheck(t *testing.T, e *Process) func(when string, copied, bytes uint64) {
+	return func(when string, copied, bytes uint64) {
+		t.Helper()
+		if s := e.Stats(); s.BBCopied != copied || s.BBBytes != bytes {
+			t.Errorf("%s: %d copies, %d bytes; want %d, %d", when, s.BBCopied, s.BBBytes, copied, bytes)
+		}
+	}
+}
+
+// TestHeadCounterThreshold: a trace head counts its own dispatches toward
+// HotThreshold; dispatches of other blocks leave its count alone, and no
+// trace is built before the count reaches the threshold.
+func TestHeadCounterThreshold(t *testing.T) {
+	img, exe, loop := buildPluginLoop(t)
+	e, err := New(img, Config{Manager: core.NewUnified(1<<20, nil, nil), HotThreshold: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first run of the loop block is cold; its self-branch then marks
+	// it as a head and each further run counts once: 3 counts, below 5.
+	observeN(t, e, Step{Block: loop.Addr}, 4)
+	observeN(t, e, Step{Block: exe.Addr}, 10)
+	if _, ok := e.TraceFor(loop.Addr); ok || e.Stats().TracesCreated != 0 {
+		t.Fatalf("trace built below the threshold: %+v", e.Stats())
+	}
+	observeN(t, e, Step{Block: loop.Addr}, 3)
+	if _, ok := e.TraceFor(loop.Addr); !ok {
+		t.Fatalf("no trace after the head reached the threshold: %+v", e.Stats())
+	}
+}
+
+// TestHeadCounterResetsOnUnload: a trace head counts dispatches toward
+// HotThreshold, and unloading its module forgets the count, exactly as when
+// a DLL is unloaded and its code later rediscovered.
+func TestHeadCounterResetsOnUnload(t *testing.T) {
+	img, exe, loop := buildPluginLoop(t)
+	e, err := New(img, Config{Manager: core.NewUnified(1<<20, nil, nil), HotThreshold: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first run of the loop block is cold; its self-branch then marks
+	// it as a head and each further run counts once: 3 counts, below 5.
+	observeN(t, e, Step{Block: loop.Addr}, 4)
+	observeN(t, e, Step{Block: exe.Addr, Unloaded: []program.ModuleID{loop.Module}}, 1)
+	// Without the reset these 3 counts would reach the threshold.
+	observeN(t, e, Step{Block: loop.Addr}, 4)
+	if _, ok := e.TraceFor(loop.Addr); ok || e.Stats().TracesCreated != 0 {
+		t.Fatal("head counter survived the unload of its module")
+	}
+	observeN(t, e, Step{Block: loop.Addr}, 3)
+	if _, ok := e.TraceFor(loop.Addr); !ok {
+		t.Fatalf("no trace after the head reached the threshold: %+v", e.Stats())
 	}
 }

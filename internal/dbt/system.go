@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/bbcache"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/linker"
@@ -153,21 +152,17 @@ func (s *System) NewProcess(id int, img *program.Image, cfg Config) (*Process, e
 		model:   model,
 		acc:     costmodel.NewAccum(model),
 		img:     img,
-		bb:      bbcache.New(),
-		heads:   bbcache.NewHeadTable(),
 		traces:  make(map[uint64]*trace.Trace),
-		byHead:  make(map[uint64]*trace.Trace),
 		byMod:   make(map[program.ModuleID][]uint64),
 		threads: make(map[int]*threadCtx),
 		links:   linker.New(),
-		slow:    cfg.SlowDispatch,
 		traceAt: make([]*trace.Trace, n),
-		headAt:  make([]*bbcache.Head, n),
+		heads:   make([]uint64, n),
 		bbIn:    make([]bool, n),
 	}
 	e.isHeadFn = func(addr uint64) bool {
-		_, ok := e.byHead[addr]
-		return ok
+		b := e.img.BlockFast(addr)
+		return b != nil && e.traceAt[b.Index] != nil
 	}
 	s.mu.Lock()
 	s.procs = append(s.procs, e)
@@ -184,15 +179,17 @@ func (e *Process) System() *System { return e.sys }
 // AttachShared attaches this process to already-resident shared-tier traces
 // — the multi-process warm-start path: persist.WarmShared populates the
 // tier once, then every process attaches to (and locally registers) the
-// traces it wants. Traces not resident in the shared tier are skipped. It
-// returns how many traces were attached.
+// traces it wants. Traces not resident in the shared tier, whose head is
+// not a block of the image, or whose head already has a trace are skipped.
+// It returns how many traces were attached.
 func (e *Process) AttachShared(ts []*trace.Trace) (int, error) {
 	if e.sys.shared == nil {
 		return 0, fmt.Errorf("dbt: AttachShared on a system without a shared tier")
 	}
 	attached := 0
 	for _, t := range ts {
-		if _, dup := e.byHead[t.Head]; dup {
+		hb := e.img.BlockFast(t.Head)
+		if hb == nil || e.traceAt[hb.Index] != nil {
 			continue
 		}
 		if !e.sys.shared.Attach(e.id, t.ID) {
@@ -200,15 +197,7 @@ func (e *Process) AttachShared(ts []*trace.Trace) (int, error) {
 		}
 		e.sys.ensureIDAbove(t.ID)
 		e.sys.register(t)
-		e.traces[t.ID] = t
-		e.byHead[t.Head] = t
-		e.byMod[t.Module] = append(e.byMod[t.Module], t.ID)
-		h := e.heads.Mark(t.Head, t.Module)
-		h.TraceID = t.ID
-		if hb, ok := e.img.Block(t.Head); ok {
-			e.headAt[hb.Index] = h
-			e.traceAt[hb.Index] = t
-		}
+		e.addTrace(t, hb)
 		attached++
 	}
 	return attached, nil

@@ -404,6 +404,42 @@ func TestPreloadLandsInFinalTier(t *testing.T) {
 	}
 }
 
+// TestPreloadRejects: Preload refuses a trace whose ID or head collides with
+// one already registered, or whose head is not a block of the image, and
+// refuses it before the manager sees it.
+func TestPreloadRejects(t *testing.T) {
+	img := buildAlternatingLoops(t)
+	src, _ := runUnderEngine(t, img, Config{HotThreshold: 20})
+	tr, ok := src.TraceByID(1)
+	if !ok {
+		t.Fatal("program generated no traces")
+	}
+	ghost := *tr
+	ghost.ID, ghost.Head = 99, 1
+	otherID := *tr
+	otherID.ID = 98
+	for _, c := range []struct {
+		name string
+		ts   []*trace.Trace
+	}{
+		{"out-of-image head", []*trace.Trace{&ghost}},
+		{"duplicate ID", []*trace.Trace{tr, tr}},
+		{"duplicate head", []*trace.Trace{tr, &otherID}},
+	} {
+		g := core.NewUnified(1<<20, nil, nil)
+		e, err := New(img, Config{Manager: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Preload(c.ts); err == nil {
+			t.Errorf("%s: preload accepted", c.name)
+		}
+		if n := g.Stats().Inserts; n != uint64(len(c.ts)-1) {
+			t.Errorf("%s: %d inserts, want %d", c.name, n, len(c.ts)-1)
+		}
+	}
+}
+
 // TestConfigTiersAdaptive runs an engine over a graph prebuilt with the
 // adaptive controller in its spec: applied capacity shifts surface on the
 // graph's observer as KindResize events while the live engine drives it.
@@ -433,7 +469,7 @@ func TestConfigTiersAdaptive(t *testing.T) {
 	}
 
 	// One unbounded pass to learn the total trace footprint.
-	drive := func(e *Engine) {
+	drive := func(e *Process) {
 		t.Helper()
 		fns := img.Modules[0].Functions
 		for round := 0; round < 200; round++ {

@@ -36,11 +36,6 @@ type Options struct {
 	// pipeline derived from the collected suite. 0 means GOMAXPROCS; 1
 	// preserves exact sequential behaviour. Negative values are rejected.
 	Parallel int
-	// SlowDispatch forces every collection engine onto the original
-	// map-based dispatch path. The fast dense-index path must produce
-	// bit-for-bit identical statistics, so this exists only for the
-	// equivalence tests that prove it.
-	SlowDispatch bool
 	// Progress, when non-nil, receives one line per completed benchmark,
 	// always in benchmark order.
 	Progress func(string)
@@ -181,7 +176,7 @@ func CollectContext(ctx context.Context, opts Options) (*Suite, error) {
 		jobs[i] = pipeline.Job[*Run]{
 			Name: p.Name,
 			Run: func(context.Context) (*Run, error) {
-				run, err := collectOne(p, scale, suite.Model, opts.SlowDispatch)
+				run, err := collectOne(p, scale, suite.Model)
 				if err == nil {
 					done[i] = run
 				}
@@ -211,7 +206,7 @@ func CollectContext(ctx context.Context, opts Options) (*Suite, error) {
 	return suite, nil
 }
 
-func collectOne(p workload.Profile, scale float64, model costmodel.Model, slow bool) (*Run, error) {
+func collectOne(p workload.Profile, scale float64, model costmodel.Model) (*Run, error) {
 	scaled := p.Scaled(scale)
 	bench, err := workload.Synthesize(scaled)
 	if err != nil {
@@ -228,11 +223,10 @@ func collectOne(p workload.Profile, scale float64, model costmodel.Model, slow b
 	lt := stats.NewLifetimes()
 	mgr := core.NewUnified(1<<40, nil, nil)
 	eng, err := dbt.New(bench.Image, dbt.Config{
-		Manager:      mgr,
-		Model:        &model,
-		Log:          w,
-		Lifetimes:    lt,
-		SlowDispatch: slow,
+		Manager:   mgr,
+		Model:     &model,
+		Log:       w,
+		Lifetimes: lt,
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dbt"
 	"repro/internal/workload"
 )
 
@@ -57,6 +60,7 @@ func TestCollectBasics(t *testing.T) {
 			t.Errorf("%s: unbounded run had misses", r.Profile.Name)
 		}
 	}
+	pin(t, "CollectRuns", "a979946a7c2d2ad6f3bc9c192826f2d869998f8cd25d4641963e77430246f253", dumpRuns(s.Runs))
 }
 
 func TestTable1(t *testing.T) {
@@ -98,6 +102,8 @@ func TestFigure1(t *testing.T) {
 	if RenderFigure1(res) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Figure1", "37662a8d4d585ad4829531e99cbc66a4907d7efc97be90661adfe05889839035", dumpRows(res.Rows, res.SpecAvgKB, res.InteractAvgKB,
+		res.LargestSpec, res.LargestInteract, res.MedianTraceBytes))
 }
 
 func TestFigure2(t *testing.T) {
@@ -113,6 +119,7 @@ func TestFigure2(t *testing.T) {
 	if RenderFigure2(res) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Figure2", "9e66131570a3590608c294e152acb3bd1637fa48ce147871d9d3800ab697aec7", dumpRows(res.Rows, res.SpecAvg, res.SpecStd, res.InteractAvg, res.InteractStd))
 }
 
 func TestFigure3(t *testing.T) {
@@ -129,6 +136,7 @@ func TestFigure3(t *testing.T) {
 	if RenderFigure3(rows) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Figure3", "6b987eb5750f810160f7ee4be115887ca6c3bc134a408c8177a393d46146fede", dumpRows(rows))
 }
 
 func TestFigure4(t *testing.T) {
@@ -146,6 +154,7 @@ func TestFigure4(t *testing.T) {
 	if RenderFigure4(res) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Figure4", "1e56d4659ddc73bce3cac2ba378fdd1608b40945818ff5b19361fb17e6eb1138", dumpRows(res.Rows, res.InteractAvg))
 }
 
 func TestFigure6(t *testing.T) {
@@ -166,6 +175,7 @@ func TestFigure6(t *testing.T) {
 	if RenderFigure6(rows) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "Figure6", "920208754ffcdeecf4752a3659b9865b60703a254e335f83309107a0367e2d09", dumpRows(rows))
 }
 
 func TestFigure9And10(t *testing.T) {
@@ -371,6 +381,7 @@ func TestOptimizerImpact(t *testing.T) {
 	if RenderOptimizerImpact(rows) == "" {
 		t.Error("empty render")
 	}
+	pin(t, "OptimizerImpact", "0a0e196da9c5397488e89dad4c8958a07ddcfd481bdc39006832aca8d4324a40", dumpRows(rows))
 }
 
 func TestSeedOffsetChangesWorkloadNotConclusion(t *testing.T) {
@@ -428,4 +439,75 @@ func TestRobustness(t *testing.T) {
 		t.Error("empty render")
 	}
 	pin(t, "Robustness", "bca2c0678dbbbb9e5542f94848b1b345084348e6590f80e0fdba8ccbc15fad89", dumpRobustness(res))
+}
+
+// TestFastDispatchEquivalence holds the engine's dense per-block dispatch to
+// the map-based dispatch path it replaced: a collection pass must give
+// bit-for-bit the same RunStats, cache-event logs and summaries, and
+// therefore the same Figure 9 rows after replay through the unified and
+// generational managers. Both digests were recorded from the map-based path
+// on these inputs, when the two paths were still checked equal run by run.
+func TestFastDispatchEquivalence(t *testing.T) {
+	s, err := Collect(Options{
+		Scale:      0.05,
+		Benchmarks: []string{"gzip", "solitaire", "word"},
+		Parallel:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin(t, "EquivalenceRuns", "a7920f3b40823a0dd894dd8e44460e207874a5ade852e80710d0bc7514c2b5ce", dumpRuns(s.Runs))
+	res, err := Figure9(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin(t, "EquivalenceFigure9", "b2d64004e33a5b82ed32af6c780bfb10fb3ffa4c87c68523fce81d0cb46b26ab", dumpFigure9(res))
+}
+
+// TestFastDispatchEquivalenceGenerational drives the engine itself (not just
+// replays of its log) under bounded generational managers. At 48 KB gzip's
+// traces all fit; at 8 KB the engine takes the eviction, regeneration and
+// link-severing paths the unbounded collection run never exercises. The
+// digest was recorded when the engine still kept a map-based dispatch path
+// beside its per-block tables and the two were checked equal.
+func TestFastDispatchEquivalenceGenerational(t *testing.T) {
+	p, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip profile missing")
+	}
+	var b strings.Builder
+	for _, capacity := range []uint64{48 << 10, 8 << 10} {
+		bench, err := workload.Synthesize(p.Scaled(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr, err := core.NewGenerational(core.Layout451045Threshold1(capacity), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := dbt.New(bench.Image, dbt.Config{Manager: mgr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(bench.NewDriver(), 0); err != nil {
+			t.Fatal(err)
+		}
+		dumpf(&b, "%d %+v", capacity, eng.Stats())
+	}
+	pin(t, "GenerationalEngineRun", "be89c35d568fa4c120b6cc6c693c1fccf21bc6f69f9cf2795608434830fe4aec", b.String())
+}
+
+// Negative parallelism must be rejected at the API boundary, not just by the
+// CLI flag handling.
+func TestNegativeParallelRejected(t *testing.T) {
+	ctx := context.Background()
+	if _, err := CollectContext(ctx, Options{Benchmarks: []string{"gzip"}, Parallel: -1}); err == nil {
+		t.Error("CollectContext accepted Parallel: -1")
+	}
+	if _, err := OptimizerImpactContext(ctx, []string{"gzip"}, 0.05, -2); err == nil {
+		t.Error("OptimizerImpactContext accepted parallel -2")
+	}
+	if _, err := RobustnessContext(ctx, []string{"gzip"}, 0.05, nil, -3); err == nil {
+		t.Error("RobustnessContext accepted parallel -3")
+	}
 }

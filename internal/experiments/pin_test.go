@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"strings"
@@ -25,6 +26,38 @@ func pin(t *testing.T, name, want, dump string) {
 func dumpf(b *strings.Builder, format string, args ...any) {
 	fmt.Fprintf(b, format, args...)
 	b.WriteByte('\n')
+}
+
+// dumpRows prints one %+v line per row, then one line of aggregates.
+func dumpRows[T any](rows []T, aggregates ...any) string {
+	var b strings.Builder
+	for _, r := range rows {
+		dumpf(&b, "%+v", r)
+	}
+	dumpf(&b, "%v", aggregates)
+	return b.String()
+}
+
+// dumpRuns prints each collected run's engine outputs: RunStats and Summary
+// in full, and the event log as its length plus the SHA-256 of its fields,
+// so a drift names the run and the artifact without logging every event.
+func dumpRuns(runs []*Run) string {
+	var b strings.Builder
+	for _, r := range runs {
+		h := sha256.New()
+		var buf []byte
+		for _, e := range r.Events {
+			buf = buf[:0]
+			for _, v := range []uint64{uint64(e.Kind), e.Time, e.Trace, uint64(e.Size), uint64(e.Module), e.Head, uint64(e.Proc)} {
+				buf = binary.LittleEndian.AppendUint64(buf, v)
+			}
+			h.Write(buf)
+		}
+		dumpf(&b, "%s stats %+v", r.Profile.Name, r.Stats)
+		dumpf(&b, "%s summary %+v", r.Profile.Name, r.Summary)
+		dumpf(&b, "%s events %d %x", r.Profile.Name, len(r.Events), h.Sum(nil))
+	}
+	return b.String()
 }
 
 func dumpFigure9(res Figure9Result) string {

@@ -51,6 +51,7 @@ func TestSharedVsIsolatedSavesGenerations(t *testing.T) {
 			t.Errorf("%s: shared tier saw no promotions", r.Name)
 		}
 	}
+	pin(t, "SharedVsIsolated", "afd25878526e6c0502c0a41cfe9257f441f2137bc33cb5916d2ab0a24d5df555", dumpRows(rows))
 	out := RenderSharedVsIsolated(rows)
 	for _, want := range []string{"gzip", "solitaire", "Adopted", "(total)"} {
 		if !strings.Contains(out, want) {

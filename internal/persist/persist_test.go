@@ -210,7 +210,7 @@ func TestWarmStartEndToEnd(t *testing.T) {
 	}
 	capacity := uint64(256 << 10)
 
-	runOnce := func(preloaded []*trace.Trace) (dbt.RunStats, *core.Graph, *dbt.Engine) {
+	runOnce := func(preloaded []*trace.Trace) (dbt.RunStats, *core.Graph, *dbt.Process) {
 		g, err := core.NewGenerational(core.Layout451045Threshold1(capacity), nil)
 		if err != nil {
 			t.Fatal(err)

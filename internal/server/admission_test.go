@@ -2,12 +2,16 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/server/api"
 )
 
 func TestAdmissionBasics(t *testing.T) {
@@ -340,5 +344,32 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never held")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOverloadBodyReportsCurrentLimits: the 429 body names the admission
+// limits in force when the session bounced, not the startup configuration
+// that autoscale or Resize has since moved.
+func TestOverloadBodyReportsCurrentLimits(t *testing.T) {
+	s, err := New(Config{MaxSessions: 4, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.adm.Resize(1, 0)
+	if err := s.adm.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.adm.release()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", nil))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429; body %s", rec.Code, rec.Body)
+	}
+	var body api.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if want := "session limit reached (limits: 1 running, 0 queued)"; body.Error != want {
+		t.Errorf("429 body %q, want %q", body.Error, want)
 	}
 }

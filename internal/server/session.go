@@ -345,9 +345,11 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	// their replay slot with an unbounded number of peers.
 	if err := s.adm.acquire(r.Context()); err != nil {
 		if errors.Is(err, errOverloaded) {
+			// The limits, not the startup config: autoscale and Resize move them.
+			slots, queue, _ := s.adm.limits()
 			w.Header().Set("Retry-After", "1")
-			jsonError(w, http.StatusTooManyRequests, "session limit reached (%d running, %d queued)",
-				s.cfg.MaxSessions, s.cfg.QueueDepth)
+			jsonError(w, http.StatusTooManyRequests, "session limit reached (limits: %d running, %d queued)",
+				slots, queue)
 		}
 		// Context errors mean the client left while queued; nothing to say.
 		return

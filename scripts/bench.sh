@@ -38,9 +38,8 @@ awk -v out="$OUT" '
 }
 END {
     printf "{\n" > out
-    # Seed-commit numbers (pre-optimization, commit 836dce4, same machine):
-    # the dispatch benchmarks did not exist yet, so DispatchSteadyStateSlow
-    # below doubles as the map-dispatch baseline.
+    # Seed-commit numbers (pre-optimization, commit 836dce4, same machine);
+    # the dispatch benchmarks did not exist yet.
     printf "  \"before\": {\n" >> out
     printf "    \"commit\": \"836dce4\",\n" >> out
     printf "    \"ArenaInsertEvict\": {\"ns_per_op\": 249.3, \"bytes_per_op\": 111, \"allocs_per_op\": 1},\n" >> out
@@ -56,11 +55,7 @@ END {
         if (allocs[name] != "") printf ", \"allocs_per_op\": %s", allocs[name] >> out
         printf "}%s\n", (i < n ? "," : "") >> out
     }
-    printf "  }" >> out
-    if (("DispatchSteadyState" in ns) && ("DispatchSteadyStateSlow" in ns) && ns["DispatchSteadyState"] + 0 > 0) {
-        printf ",\n  \"dispatch_speedup_fast_vs_slow\": %.2f", ns["DispatchSteadyStateSlow"] / ns["DispatchSteadyState"] >> out
-    }
-    printf "\n}\n" >> out
+    printf "  }\n}\n" >> out
 }
 ' "$RAW"
 
