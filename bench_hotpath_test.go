@@ -59,37 +59,60 @@ func buildHotLoopImage(tb testing.TB) *program.Image {
 // threshold so every trace materializes, then two full steady cycles to
 // settle heads and links) and one steady cycle: A0,B0,A1,B1,... — per pair,
 // one in-trace step and one dispatcher entry into the next loop's trace.
-func hotLoopSteps(img *program.Image) (warm, steady []dbt.Step) {
+func hotLoopSteps(img *program.Image) (warm, steady []uint64) {
 	fns := img.Modules[0].Functions
 	for i := 0; i < hotLoops; i++ {
 		a, b := fns[i].Blocks[0].Addr, fns[i].Blocks[1].Addr
 		for j := 0; j < 60; j++ {
-			warm = append(warm, dbt.Step{Block: a}, dbt.Step{Block: b})
+			warm = append(warm, a, b)
 		}
 	}
 	for i := 0; i < hotLoops; i++ {
 		a, b := fns[i].Blocks[0].Addr, fns[i].Blocks[1].Addr
-		steady = append(steady, dbt.Step{Block: a}, dbt.Step{Block: b})
+		steady = append(steady, a, b)
 	}
 	warm = append(warm, steady...)
 	warm = append(warm, steady...)
 	return warm, steady
 }
 
+// cycleGuest executes a fixed block-address sequence over and over on
+// thread 0 at time 0; Run's maxBlocks ends each drive.
+type cycleGuest struct {
+	img   *program.Image
+	addrs []uint64
+	i     int
+}
+
+func (g *cycleGuest) Image() *program.Image { return g.img }
+
+func (g *cycleGuest) Fill(b *dbt.StepBlock, max int) error {
+	b.Reset()
+	for b.N < min(max, b.Cap()) {
+		b.Addr[b.N], b.Time[b.N], b.Thread[b.N] = g.addrs[g.i], 0, 0
+		g.i = (g.i + 1) % len(g.addrs)
+		b.N++
+	}
+	return nil
+}
+
+// runSteps drives eng through n more steps of g.
+func runSteps(tb testing.TB, eng *dbt.Process, g *cycleGuest, n int) {
+	if err := eng.Run(g, eng.Stats().Blocks+uint64(n)); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // newHotEngine builds an engine over the loop image under manager g, warmed
 // to steady state: every loop's trace exists and every cross-loop link is in
 // place.
-func newHotEngine(tb testing.TB, img *program.Image, warm []dbt.Step, g *core.Graph) *dbt.Process {
+func newHotEngine(tb testing.TB, img *program.Image, warm []uint64, g *core.Graph) *dbt.Process {
 	tb.Helper()
 	eng, err := dbt.New(img, dbt.Config{Manager: g})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, s := range warm {
-		if err := eng.Observe(s); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	runSteps(tb, eng, &cycleGuest{img: img, addrs: warm}, len(warm))
 	return eng
 }
 
@@ -100,20 +123,17 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 	img := buildHotLoopImage(b)
 	warm, steady := hotLoopSteps(img)
 	eng := newHotEngine(b, img, warm, core.NewUnified(1<<30, nil, nil))
+	g := &cycleGuest{img: img, addrs: steady}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.Observe(steady[i%len(steady)]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runSteps(b, eng, g, b.N)
 }
 
 // newHotGraphEngine builds the same warmed engine over a three-tier graph
 // with the adaptive split controller attached — the dispatch path every
 // manager shares now that the unified and generational shapes are stock graphs, plus
 // the controller's per-access sampling.
-func newHotGraphEngine(tb testing.TB, img *program.Image, warm []dbt.Step) *dbt.Process {
+func newHotGraphEngine(tb testing.TB, img *program.Image, warm []uint64) *dbt.Process {
 	tb.Helper()
 	spec, err := core.ParseTierSpec("45-10-45@1", 1<<30)
 	if err != nil {
@@ -134,13 +154,10 @@ func BenchmarkDispatchGraphSteadyState(b *testing.B) {
 	img := buildHotLoopImage(b)
 	warm, steady := hotLoopSteps(img)
 	eng := newHotGraphEngine(b, img, warm)
+	g := &cycleGuest{img: img, addrs: steady}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.Observe(steady[i%len(steady)]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runSteps(b, eng, g, b.N)
 }
 
 // BenchmarkArenaChurn measures steady insert/evict churn with recycled trace
@@ -231,12 +248,9 @@ func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 	img := buildHotLoopImage(t)
 	warm, steady := hotLoopSteps(img)
 	eng := newHotEngine(t, img, warm, core.NewUnified(1<<30, nil, nil))
+	g := &cycleGuest{img: img, addrs: steady}
 	allocs := testing.AllocsPerRun(20, func() {
-		for _, s := range steady {
-			if err := eng.Observe(s); err != nil {
-				t.Fatal(err)
-			}
-		}
+		runSteps(t, eng, g, len(steady))
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state dispatch allocated %.1f times per cycle, want 0", allocs)
@@ -247,12 +261,9 @@ func TestDispatchGraphSteadyStateZeroAlloc(t *testing.T) {
 	img := buildHotLoopImage(t)
 	warm, steady := hotLoopSteps(img)
 	eng := newHotGraphEngine(t, img, warm)
+	g := &cycleGuest{img: img, addrs: steady}
 	allocs := testing.AllocsPerRun(20, func() {
-		for _, s := range steady {
-			if err := eng.Observe(s); err != nil {
-				t.Fatal(err)
-			}
-		}
+		runSteps(t, eng, g, len(steady))
 	})
 	if allocs != 0 {
 		t.Fatalf("tier-graph steady-state dispatch allocated %.1f times per cycle, want 0", allocs)

@@ -10,6 +10,7 @@ package dbt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/codecache"
 	"repro/internal/core"
@@ -22,28 +23,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tracelog"
 )
-
-// Step is one unit of guest execution: a basic block, plus any module
-// mapping changes its execution caused.
-type Step struct {
-	Block    uint64
-	Time     uint64 // virtual microseconds since the start of the run
-	Thread   int    // guest thread executing the block (single-threaded guests use 0)
-	Loaded   []program.ModuleID
-	Unloaded []program.ModuleID
-	Done     bool
-}
-
-// Guest is a program under the engine's control. Implementations include
-// the reference interpreter (vm) and the synthetic workload driver
-// (workload).
-type Guest interface {
-	// Image returns the guest's program image.
-	Image() *program.Image
-	// Next executes one basic block and describes it. When execution has
-	// finished it returns a Step with Done set.
-	Next() (Step, error)
-}
 
 // Config parameterizes the engine.
 type Config struct {
@@ -170,6 +149,10 @@ type Process struct {
 
 	now   uint64
 	stats RunStats
+
+	// steps is the block fill reuses for every guest call, allocated on
+	// first use.
+	steps *StepBlock
 
 	// Exception simulation: the currently pinned trace and the access
 	// count at which it unpins.
@@ -313,64 +296,109 @@ func (e *Process) markHead(blk *program.Block) {
 }
 
 // Run drives the guest to completion (or until maxBlocks guest blocks have
-// executed; 0 means no limit).
+// executed; 0 means no limit), one step block at a time.
 func (e *Process) Run(g Guest, maxBlocks uint64) error {
 	for {
 		if maxBlocks != 0 && e.stats.Blocks >= maxBlocks {
 			return nil
 		}
-		step, err := g.Next()
+		b, err := e.fill(g, math.MaxInt, maxBlocks)
 		if err != nil {
 			return err
 		}
-		if step.Done {
+		if b.Done {
 			return e.finish()
-		}
-		if err := e.Observe(step); err != nil {
-			return err
 		}
 	}
 }
 
-// Observe processes one guest step.
-func (e *Process) Observe(step Step) error {
-	if step.Time > e.now {
-		e.now = step.Time
+// fill has g fill the process's step block with up to n steps — fewer if
+// the block's capacity or what is left of a maxBlocks budget (0 means none)
+// is smaller — and executes them. Steps a failing guest filled before its
+// error still execute.
+func (e *Process) fill(g Guest, n int, maxBlocks uint64) (*StepBlock, error) {
+	if e.steps == nil {
+		e.steps = NewStepBlock(BlockSteps)
 	}
-	for _, m := range step.Unloaded {
-		if err := e.unloadModule(m); err != nil {
+	b := e.steps
+	n = min(n, b.Cap())
+	if maxBlocks != 0 && maxBlocks-e.stats.Blocks < uint64(n) {
+		n = int(maxBlocks - e.stats.Blocks)
+	}
+	err := g.Fill(b, n)
+	if xerr := e.execute(b); xerr != nil {
+		return b, xerr
+	}
+	if err == nil && b.N == 0 && !b.Done {
+		err = fmt.Errorf("dbt: guest filled no steps and did not finish")
+	}
+	return b, err
+}
+
+// execute processes the first b.N steps of a block. A step that continues
+// the trace body its thread is executing takes the fast path: one address
+// compare against the body, then counter updates. Trace exits, dispatches,
+// recordings and module changes go through step.
+func (e *Process) execute(b *StepBlock) error {
+	mods := b.Mods
+	for i := 0; i < b.N; i++ {
+		if t := b.Time[i]; t > e.now {
+			e.now = t
+		}
+		if len(mods) > 0 && mods[0].At == i {
+			for _, m := range mods[0].Unloaded {
+				if err := e.unloadModule(m); err != nil {
+					return err
+				}
+			}
+			mods = mods[1:]
+		}
+		c := e.threadFor(int(b.Thread[i]))
+		e.cur = c
+		addr := b.Addr[i]
+		if it := c.inTrace; it != nil {
+			k := c.traceIdx
+			if k < len(it.BlockAddrs) {
+				if it.BlockAddrs[k] == addr {
+					c.traceIdx = k + 1
+					e.inTraceStep(c, it.Blocks[k])
+					continue
+				}
+			} else if addr == it.Head {
+				// The trace's backward branch re-entered its own head: the
+				// trace is self-linked, so iteration stays inside the cache
+				// with no dispatcher involvement.
+				c.traceIdx = 1
+				e.inTraceStep(c, it.Blocks[0])
+				continue
+			}
+		}
+		if err := e.step(c, addr); err != nil {
 			return err
 		}
 	}
-	// Loads need no engine action: code is rediscovered on execution.
+	return nil
+}
 
-	c := e.threadFor(step.Thread)
-	e.cur = c
+// inTraceStep accounts one block executed inside a trace body.
+func (e *Process) inTraceStep(c *threadCtx, blk *program.Block) {
+	e.stats.Blocks++
+	e.stats.GuestInstrs += uint64(len(blk.Code))
+	e.stats.InTraceSteps++
+	c.prev = blk
+}
 
-	blk := e.img.BlockFast(step.Block)
+// step handles a block that does not continue its thread's trace body: a
+// trace exit or a dispatch.
+func (e *Process) step(c *threadCtx, addr uint64) error {
+	blk := e.img.BlockFast(addr)
 	if blk == nil {
-		return fmt.Errorf("dbt: guest executed unknown block %#x", step.Block)
+		return fmt.Errorf("dbt: guest executed unknown block %#x", addr)
 	}
 	e.stats.Blocks++
 	e.stats.GuestInstrs += uint64(len(blk.Code))
 
-	// Is this thread executing inside a trace body?
 	if c.inTrace != nil {
-		if c.traceIdx < len(c.inTrace.BlockAddrs) && c.inTrace.BlockAddrs[c.traceIdx] == blk.Addr {
-			c.traceIdx++
-			e.stats.InTraceSteps++
-			c.prev = blk
-			return nil
-		}
-		if c.traceIdx >= len(c.inTrace.BlockAddrs) && blk.Addr == c.inTrace.Head {
-			// The trace's backward branch re-entered its own head: the
-			// trace is self-linked, so iteration stays inside the cache
-			// with no dispatcher involvement.
-			c.traceIdx = 1
-			e.stats.InTraceSteps++
-			c.prev = blk
-			return nil
-		}
 		// Trace exit: execution left the body. The target of a trace exit
 		// becomes a trace head (§4.1 rule b), and the exiting trace is a
 		// linking candidate if the very next dispatch enters another trace.
@@ -378,7 +406,6 @@ func (e *Process) Observe(step Step) error {
 		c.inTrace = nil
 		e.markHead(blk)
 	}
-
 	return e.dispatch(blk)
 }
 

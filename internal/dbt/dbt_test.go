@@ -314,7 +314,7 @@ func TestEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Observe(Step{Block: 0xdead}); err == nil {
+	if err := e.observe(step{Block: 0xdead}); err == nil {
 		t.Error("unknown block accepted")
 	}
 }
@@ -511,7 +511,7 @@ func TestInterleavedThreads(t *testing.T) {
 	}
 	step := func(thread int, addr uint64) {
 		t.Helper()
-		if err := e.Observe(Step{Block: addr, Thread: thread}); err != nil {
+		if err := e.observe(step{Block: addr, Thread: thread}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -617,10 +617,10 @@ func buildPluginLoop(t *testing.T) (img *program.Image, exe, loop *program.Block
 	return img, img.Modules[0].Functions[0].Blocks[0], img.Modules[1].Functions[0].Blocks[0]
 }
 
-func observeN(t *testing.T, e *Process, s Step, n int) {
+func observeN(t *testing.T, e *Process, s step, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := e.Observe(s); err != nil {
+		if err := e.observe(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -638,11 +638,11 @@ func TestBBCacheCopyIn(t *testing.T) {
 	exeBytes := uint64(exe.Size()) + blockOverheadBytes
 	loopBytes := uint64(loop.Size()) + blockOverheadBytes
 	check("empty", 0, 0)
-	observeN(t, e, Step{Block: exe.Addr}, 1)
+	observeN(t, e, step{Block: exe.Addr}, 1)
 	check("first run", 1, exeBytes)
-	observeN(t, e, Step{Block: exe.Addr}, 2)
+	observeN(t, e, step{Block: exe.Addr}, 2)
 	check("reruns", 1, exeBytes)
-	observeN(t, e, Step{Block: loop.Addr}, 3)
+	observeN(t, e, step{Block: loop.Addr}, 3)
 	check("both run", 2, exeBytes+loopBytes)
 }
 
@@ -658,14 +658,14 @@ func TestBBCacheDeleteModule(t *testing.T) {
 	check := bbCheck(t, e)
 	exeBytes := uint64(exe.Size()) + blockOverheadBytes
 	loopBytes := uint64(loop.Size()) + blockOverheadBytes
-	observeN(t, e, Step{Block: exe.Addr}, 1)
-	observeN(t, e, Step{Block: loop.Addr}, 1)
-	unload := Step{Block: exe.Addr, Unloaded: []program.ModuleID{loop.Module}}
+	observeN(t, e, step{Block: exe.Addr}, 1)
+	observeN(t, e, step{Block: loop.Addr}, 1)
+	unload := step{Block: exe.Addr, Unloaded: []program.ModuleID{loop.Module}}
 	observeN(t, e, unload, 1)
 	check("plugin unloaded", 2, exeBytes)
 	observeN(t, e, unload, 1)
 	check("plugin unloaded twice", 2, exeBytes)
-	observeN(t, e, Step{Block: loop.Addr}, 1)
+	observeN(t, e, step{Block: loop.Addr}, 1)
 	check("plugin rerun", 3, exeBytes+loopBytes)
 }
 
@@ -690,12 +690,12 @@ func TestHeadCounterThreshold(t *testing.T) {
 	}
 	// The first run of the loop block is cold; its self-branch then marks
 	// it as a head and each further run counts once: 3 counts, below 5.
-	observeN(t, e, Step{Block: loop.Addr}, 4)
-	observeN(t, e, Step{Block: exe.Addr}, 10)
+	observeN(t, e, step{Block: loop.Addr}, 4)
+	observeN(t, e, step{Block: exe.Addr}, 10)
 	if _, ok := e.TraceFor(loop.Addr); ok || e.Stats().TracesCreated != 0 {
 		t.Fatalf("trace built below the threshold: %+v", e.Stats())
 	}
-	observeN(t, e, Step{Block: loop.Addr}, 3)
+	observeN(t, e, step{Block: loop.Addr}, 3)
 	if _, ok := e.TraceFor(loop.Addr); !ok {
 		t.Fatalf("no trace after the head reached the threshold: %+v", e.Stats())
 	}
@@ -712,14 +712,14 @@ func TestHeadCounterResetsOnUnload(t *testing.T) {
 	}
 	// The first run of the loop block is cold; its self-branch then marks
 	// it as a head and each further run counts once: 3 counts, below 5.
-	observeN(t, e, Step{Block: loop.Addr}, 4)
-	observeN(t, e, Step{Block: exe.Addr, Unloaded: []program.ModuleID{loop.Module}}, 1)
+	observeN(t, e, step{Block: loop.Addr}, 4)
+	observeN(t, e, step{Block: exe.Addr, Unloaded: []program.ModuleID{loop.Module}}, 1)
 	// Without the reset these 3 counts would reach the threshold.
-	observeN(t, e, Step{Block: loop.Addr}, 4)
+	observeN(t, e, step{Block: loop.Addr}, 4)
 	if _, ok := e.TraceFor(loop.Addr); ok || e.Stats().TracesCreated != 0 {
 		t.Fatal("head counter survived the unload of its module")
 	}
-	observeN(t, e, Step{Block: loop.Addr}, 3)
+	observeN(t, e, step{Block: loop.Addr}, 3)
 	if _, ok := e.TraceFor(loop.Addr); !ok {
 		t.Fatalf("no trace after the head reached the threshold: %+v", e.Stats())
 	}

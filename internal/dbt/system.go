@@ -205,7 +205,8 @@ func (e *Process) AttachShared(ts []*trace.Trace) (int, error) {
 
 // RunRoundRobin drives every process's guest to completion on one
 // goroutine, deterministically: processes execute quantum guest steps each
-// in rotation, and process p is admitted into the rotation only once
+// in rotation (fewer only when a process's budget or execution ends within
+// its turn), and process p is admitted into the rotation only once
 // stagger×p total steps have executed system-wide (so earlier processes
 // warm the shared tier before later ones start — the arrival pattern that
 // makes adoption observable). A fixed seed plus this fixed schedule gives
@@ -235,7 +236,7 @@ func (s *System) RunRoundRobin(guests []Guest, quantum int, stagger uint64, maxB
 				continue
 			}
 			p := procs[i]
-			for q := 0; q < quantum; q++ {
+			for q := 0; q < quantum; {
 				if maxBlocksPerProc != 0 && p.stats.Blocks >= maxBlocksPerProc {
 					done[i] = true
 					remaining--
@@ -244,11 +245,16 @@ func (s *System) RunRoundRobin(guests []Guest, quantum int, stagger uint64, maxB
 					}
 					break
 				}
-				step, err := guests[i].Next()
+				b, err := p.fill(guests[i], quantum-q, maxBlocksPerProc)
 				if err != nil {
 					return err
 				}
-				if step.Done {
+				q += b.N
+				total += uint64(b.N)
+				if b.N > 0 {
+					progressed = true
+				}
+				if b.Done {
 					done[i] = true
 					remaining--
 					if err := p.finish(); err != nil {
@@ -256,11 +262,6 @@ func (s *System) RunRoundRobin(guests []Guest, quantum int, stagger uint64, maxB
 					}
 					break
 				}
-				if err := p.Observe(step); err != nil {
-					return err
-				}
-				total++
-				progressed = true
 			}
 		}
 		// Every admitted process finished before the next admission point:

@@ -16,20 +16,27 @@ type VMGuest struct {
 // Image implements Guest.
 func (g VMGuest) Image() *program.Image { return g.M.Image() }
 
-// Next implements Guest.
-func (g VMGuest) Next() (Step, error) {
-	if g.M.Halted() {
-		return Step{Done: true, Time: g.M.InstCount}, nil
+// Fill implements Guest by stepping the machine one basic block per step.
+func (g VMGuest) Fill(b *StepBlock, max int) error {
+	b.Reset()
+	if max > b.Cap() {
+		max = b.Cap()
 	}
-	info, err := g.M.Step()
-	if err != nil {
-		return Step{}, err
+	for b.N < max {
+		if g.M.Halted() {
+			b.Done = true
+			return nil
+		}
+		info, err := g.M.Step()
+		if err != nil {
+			return err
+		}
+		i := b.N
+		if len(info.Loaded) > 0 || len(info.Unloaded) > 0 {
+			b.Mods = append(b.Mods, ModChange{At: i, Loaded: info.Loaded, Unloaded: info.Unloaded})
+		}
+		b.Addr[i], b.Time[i], b.Thread[i] = info.Block, g.M.InstCount, 0
+		b.N++
 	}
-	return Step{
-		Block:    info.Block,
-		Time:     g.M.InstCount,
-		Loaded:   info.Loaded,
-		Unloaded: info.Unloaded,
-		Done:     false,
-	}, nil
+	return nil
 }

@@ -234,7 +234,7 @@ func collectOne(p workload.Profile, scale float64, model costmodel.Model) (*Run,
 	if err := eng.Run(bench.NewDriver(), 0); err != nil {
 		return nil, fmt.Errorf("experiments: running %s: %w", p.Name, err)
 	}
-	h, events, err := tracelog.ReadAll(&buf)
+	h, events, err := tracelog.ReadAllN(&buf, int(w.Events()))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: decoding %s log: %w", p.Name, err)
 	}

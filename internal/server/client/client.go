@@ -23,7 +23,9 @@ import (
 )
 
 // ErrOverloaded is returned by Session when the server refused admission
-// with 429; callers back off and retry.
+// with 429, wrapped with the server's message (its admission limits) when
+// the response carries one; callers test for it with errors.Is, back off and
+// retry.
 var ErrOverloaded = errors.New("client: server overloaded")
 
 // ErrDraining is returned by Session when the server is shutting down.
@@ -104,6 +106,9 @@ func (c *Client) Session(ctx context.Context, cfg api.SessionConfig, body io.Rea
 		}
 		return out, nil
 	case http.StatusTooManyRequests:
+		if msg := readError(resp.Body); msg != "" {
+			return out, fmt.Errorf("%w: %s", ErrOverloaded, msg)
+		}
 		return out, ErrOverloaded
 	case http.StatusServiceUnavailable:
 		return out, ErrDraining

@@ -137,27 +137,35 @@ func (h *Histogram) FractionBetween(lo, hi float64) float64 {
 //
 //	lifetime_i = (lastExecution_i - firstExecution_i) / totalApplicationExecutionTime
 type Lifetimes struct {
-	first map[uint64]float64
-	last  map[uint64]float64
+	spans map[uint64]span
 }
+
+// span is one trace's first and last use time.
+type span struct{ first, last float64 }
 
 // NewLifetimes returns an empty lifetime tracker.
 func NewLifetimes() *Lifetimes {
-	return &Lifetimes{first: make(map[uint64]float64), last: make(map[uint64]float64)}
+	return &Lifetimes{spans: make(map[uint64]span)}
 }
 
-// Touch records that trace id was executed at time t.
+// Touch records that trace id was executed at time t. A trace's last use
+// time starts at 0 and only moves forward.
 func (l *Lifetimes) Touch(id uint64, t float64) {
-	if _, ok := l.first[id]; !ok {
-		l.first[id] = t
+	s, ok := l.spans[id]
+	if ok && t <= s.last {
+		return
 	}
-	if t > l.last[id] {
-		l.last[id] = t
+	if !ok {
+		s.first = t
 	}
+	if t > s.last {
+		s.last = t
+	}
+	l.spans[id] = s
 }
 
 // Len returns the number of distinct traces observed.
-func (l *Lifetimes) Len() int { return len(l.first) }
+func (l *Lifetimes) Len() int { return len(l.spans) }
 
 // Histogram buckets the lifetimes of all observed traces into the given
 // number of equal-width buckets of fractional lifetime, given the total
@@ -167,8 +175,8 @@ func (l *Lifetimes) Histogram(total float64, buckets int) *Histogram {
 	if total <= 0 {
 		return h
 	}
-	for id, f := range l.first {
-		h.Add((l.last[id] - f) / total)
+	for _, s := range l.spans {
+		h.Add((s.last - s.first) / total)
 	}
 	return h
 }
@@ -176,12 +184,12 @@ func (l *Lifetimes) Histogram(total float64, buckets int) *Histogram {
 // Fractions returns the fraction of traces with fractional lifetime below
 // lo (short-lived), between lo and hi, and above hi (long-lived).
 func (l *Lifetimes) Fractions(total, lo, hi float64) (short, mid, long float64) {
-	if total <= 0 || len(l.first) == 0 {
+	if total <= 0 || len(l.spans) == 0 {
 		return 0, 0, 0
 	}
-	n := float64(len(l.first))
-	for id, f := range l.first {
-		lt := (l.last[id] - f) / total
+	n := float64(len(l.spans))
+	for _, s := range l.spans {
+		lt := (s.last - s.first) / total
 		switch {
 		case lt < lo:
 			short++

@@ -35,6 +35,10 @@ type Trace struct {
 	// BlockAddrs lists the original addresses of the member blocks in
 	// execution order.
 	BlockAddrs []uint64
+	// Blocks holds the member blocks themselves, parallel to BlockAddrs:
+	// the engine steps through a trace body by address compare alone and
+	// reads each member's instruction count here, without a block lookup.
+	Blocks []*program.Block
 	// Code is the straightened instruction sequence.
 	Code []isa.Inst
 	// Exits is the number of off-trace edges (each costs an exit stub).
@@ -188,6 +192,7 @@ func Build(id uint64, blocks []*program.Block) (*Trace, error) {
 
 	for i, b := range blocks {
 		t.BlockAddrs = append(t.BlockAddrs, b.Addr)
+		t.Blocks = append(t.Blocks, b)
 		body := b.Code[:len(b.Code)-1]
 		t.Code = append(t.Code, body...)
 		term := b.Last()

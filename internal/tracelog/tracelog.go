@@ -104,6 +104,8 @@ type Writer struct {
 	lastTime uint64
 	events   uint64
 	closed   bool
+	// scratch encodes one varint; held here so encoding allocates nothing.
+	scratch [binary.MaxVarintLen64]byte
 }
 
 // NewWriter writes the header and returns a Writer buffered at
@@ -145,16 +147,14 @@ func NewWriterSize(w io.Writer, h Header, size int) (*Writer, error) {
 }
 
 func (w *Writer) uvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.w.Write(buf[:n])
+	n := binary.PutUvarint(w.scratch[:], v)
+	_, err := w.w.Write(w.scratch[:n])
 	return err
 }
 
 func (w *Writer) varint(v int64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, err := w.w.Write(buf[:n])
+	n := binary.PutVarint(w.scratch[:], v)
+	_, err := w.w.Write(w.scratch[:n])
 	return err
 }
 
@@ -410,12 +410,20 @@ func (r *Reader) readModule() (uint16, error) {
 }
 
 // ReadAll decodes every event in the stream.
-func ReadAll(r io.Reader) (Header, []Event, error) {
+func ReadAll(r io.Reader) (Header, []Event, error) { return ReadAllN(r, 0) }
+
+// ReadAllN is ReadAll for a log of about n events: the result is allocated
+// at that capacity up front instead of grown by doubling. A producer that
+// just wrote the log passes its Writer.Events(), which is exact.
+func ReadAllN(r io.Reader, n int) (Header, []Event, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return Header{}, nil, err
 	}
 	var out []Event
+	if n > 0 {
+		out = make([]Event, 0, n)
+	}
 	for {
 		e, err := rd.Next()
 		if errors.Is(err, io.EOF) {

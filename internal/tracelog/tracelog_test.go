@@ -346,3 +346,66 @@ func TestSummarizeCountsAdoptions(t *testing.T) {
 		t.Errorf("max live = %d: an adoption must not double-count bytes", s.MaxLiveBytes)
 	}
 }
+
+// TestWriteZeroAlloc: encoding an event allocates nothing, in either wire
+// version and for every payload shape.
+func TestWriteZeroAlloc(t *testing.T) {
+	for _, procs := range []int{1, 3} {
+		w, err := NewWriter(io.Discard, Header{Benchmark: "alloc", Procs: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var now uint64
+		allocs := testing.AllocsPerRun(1000, func() {
+			now += 7
+			for _, e := range []Event{
+				{Kind: KindCreate, Time: now, Trace: 1 << 40, Size: 4096, Module: 9, Head: 0xdeadbeef, Proc: procs - 1},
+				{Kind: KindAccess, Time: now, Trace: 1 << 40, Proc: procs - 1},
+				{Kind: KindUnmap, Time: now, Module: 9, Proc: procs - 1},
+			} {
+				if err := w.Write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("procs=%d: Write allocated %.1f times per 3 events, want 0", procs, allocs)
+		}
+	}
+}
+
+// TestReadAllNMatchesReadAll: the capacity hint changes the allocation, not
+// the result, whether it is exact, short or absent.
+func TestReadAllNMatchesReadAll(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Benchmark: "hint"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range sampleEvents() {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{int(w.Events()), 2, 0} {
+		_, got, err := ReadAllN(bytes.NewReader(buf.Bytes()), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("hint %d: %d events, want %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("hint %d: event %d = %+v, want %+v", n, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -24,7 +24,6 @@ type Driver struct {
 
 	phase        int
 	stepsInPhase uint64
-	stepCount    uint64
 
 	// One walk per guest thread; walks[curThread] is being served. With a
 	// single thread the driver behaves exactly as a sequential walk.
@@ -41,6 +40,14 @@ type Driver struct {
 	pendingUnload []program.ModuleID
 	pendingLoad   []program.ModuleID
 	done          bool
+
+	// Virtual clock: dur is the declared duration; after s steps, clock and
+	// clockRem are the quotient and remainder of s*dur/totalBudget. Each
+	// step adds clockStep and clockStepRem, dur/totalBudget and its
+	// remainder.
+	dur                     uint64
+	clock, clockRem         uint64
+	clockStep, clockStepRem uint64
 }
 
 // walk is one guest thread's current visit expansion.
@@ -68,6 +75,10 @@ func (b *Bench) NewDriverProc(proc int) *Driver {
 		n = 1
 	}
 	d := &Driver{b: b, r: b.rng(1 + int64(proc)*15485863), warming: len(b.core) > 0, walks: make([]walk, n)}
+	d.dur = b.Profile.DurationMicros()
+	if b.totalBudget != 0 {
+		d.clockStep, d.clockStepRem = d.dur/b.totalBudget, d.dur%b.totalBudget
+	}
 	if len(b.phaseModule) > 0 {
 		d.pendingLoad = []program.ModuleID{b.phaseModule[0]}
 	}
@@ -77,74 +88,107 @@ func (b *Bench) NewDriverProc(proc int) *Driver {
 // Image implements dbt.Guest.
 func (d *Driver) Image() *program.Image { return d.b.Image }
 
-// now maps step count onto the benchmark's declared duration.
-func (d *Driver) now() uint64 {
-	dur := d.b.Profile.DurationMicros()
+// tick counts one step and returns its virtual time: steps*dur/totalBudget
+// capped at dur, the plan's step count mapped onto the benchmark's declared
+// duration. The quotient and remainder carry from step to step, so the time
+// is exact without a divide per step.
+func (d *Driver) tick() uint64 {
 	if d.b.totalBudget == 0 {
 		return 0
 	}
-	t := d.stepCount * dur / d.b.totalBudget
-	if t > dur {
-		t = dur
+	d.clock += d.clockStep
+	d.clockRem += d.clockStepRem
+	if d.clockRem >= d.b.totalBudget {
+		d.clockRem -= d.b.totalBudget
+		d.clock++
 	}
-	return t
+	return min(d.clock, d.dur)
 }
 
-// Next implements dbt.Guest.
-func (d *Driver) Next() (dbt.Step, error) {
-	if d.done {
-		return dbt.Step{Done: true, Time: d.now()}, nil
-	}
-	// Warmup (application startup) runs on thread 0 only; afterwards the
-	// driver time-slices the guest threads.
-	if !d.warming && len(d.walks) > 1 {
-		if d.sliceLeft <= 0 {
-			d.curThread = (d.curThread + 1) % len(d.walks)
-			d.sliceLeft = 30 + d.r.Intn(90)
+// Fill implements dbt.Guest. It hands out each walk in runs: every step of
+// a run comes from the same walk on the same thread, so the run's block
+// addresses are one copy and only the clock advances per step.
+func (d *Driver) Fill(b *dbt.StepBlock, max int) error {
+	b.Reset()
+	max = min(max, b.Cap())
+	for b.N < max {
+		if d.done {
+			b.Done = true
+			return nil
 		}
-		d.sliceLeft--
-	} else {
-		d.curThread = 0
-	}
-	w := &d.walks[d.curThread]
+		// Warmup (application startup) runs on thread 0 only; afterwards the
+		// driver time-slices the guest threads.
+		slicing := !d.warming && len(d.walks) > 1
+		if slicing {
+			if d.sliceLeft <= 0 {
+				d.curThread = (d.curThread + 1) % len(d.walks)
+				d.sliceLeft = 30 + d.r.Intn(90)
+			}
+		} else {
+			d.curThread = 0
+		}
+		w := &d.walks[d.curThread]
+		if w.idx >= len(w.seq) && !d.nextVisit(w) {
+			b.Done = true
+			return nil
+		}
 
-	if w.idx >= len(w.seq) {
+		// The run ends with the walk, the block or the thread's slice. If
+		// this visit ended warmup in a multi-threaded guest, the run is one
+		// step: slicing starts with the step after it.
+		k := min(len(w.seq)-w.idx, max-b.N)
 		switch {
-		case d.warming:
-			d.expandVisit(w, d.b.core[d.warmFn])
-			d.warmFn++
-			if d.warmFn >= len(d.b.core) {
-				d.warmFn = 0
-				d.warmRound++
-				if d.warmRound >= warmupVisits {
-					d.warming = false
-				}
+		case slicing:
+			k = min(k, d.sliceLeft)
+			d.sliceLeft -= k
+		case !d.warming && len(d.walks) > 1:
+			k = 1
+		}
+		if d.pendingUnload != nil || d.pendingLoad != nil {
+			b.Mods = append(b.Mods, dbt.ModChange{At: b.N, Loaded: d.pendingLoad, Unloaded: d.pendingUnload})
+			d.pendingUnload, d.pendingLoad = nil, nil
+		}
+		n := b.N
+		copy(b.Addr[n:n+k], w.seq[w.idx:w.idx+k])
+		w.idx += k
+		if !d.warming {
+			d.stepsInPhase += uint64(k)
+		}
+		thread := int32(d.curThread)
+		for i := n; i < n+k; i++ {
+			b.Time[i] = d.tick()
+			b.Thread[i] = thread
+		}
+		b.N = n + k
+	}
+	return nil
+}
+
+// nextVisit expands the next visit into the exhausted walk w: the next
+// warmup visit of a core function, or a visit picked from the current
+// phase, after advancing past a spent phase. It reports false, expanding
+// nothing, when the last phase is spent.
+func (d *Driver) nextVisit(w *walk) bool {
+	if d.warming {
+		d.expandVisit(w, d.b.core[d.warmFn])
+		d.warmFn++
+		if d.warmFn >= len(d.b.core) {
+			d.warmFn = 0
+			d.warmRound++
+			if d.warmRound >= warmupVisits {
+				d.warming = false
 			}
-		default:
-			if d.stepsInPhase >= d.b.phaseBudget[d.phase] {
-				d.advancePhase()
-				if d.done {
-					return dbt.Step{Done: true, Time: d.now()}, nil
-				}
-			}
-			d.expandVisit(w, d.pickFunction())
+		}
+		return true
+	}
+	if d.stepsInPhase >= d.b.phaseBudget[d.phase] {
+		d.advancePhase()
+		if d.done {
+			return false
 		}
 	}
-	blk := w.seq[w.idx]
-	w.idx++
-	if !d.warming {
-		d.stepsInPhase++
-	}
-	d.stepCount++
-	st := dbt.Step{
-		Block:    blk,
-		Time:     d.now(),
-		Thread:   d.curThread,
-		Unloaded: d.pendingUnload,
-		Loaded:   d.pendingLoad,
-	}
-	d.pendingUnload, d.pendingLoad = nil, nil
-	return st, nil
+	d.expandVisit(w, d.pickFunction())
+	return true
 }
 
 func (d *Driver) advancePhase() {

@@ -156,11 +156,25 @@ func Synthesize(p Profile) (*Bench, error) {
 		bench.unloadAtEnd[ph] = r.Float64() < p.UnloadProb
 	}
 
-	// Resolve walk templates and compute per-phase budgets.
+	// Resolve walk templates and compute per-phase budgets. Names resolve
+	// through one index, built in image order with the first occurrence
+	// winning, as FindFunction would resolve them.
+	byName := make(map[string]*program.Function)
+	for _, m := range img.Modules {
+		for _, f := range m.Functions {
+			if _, dup := byName[f.Name]; !dup {
+				byName[f.Name] = f
+			}
+		}
+	}
 	var sumCost, nFns int
 	resolve := func(fns []*fnSpec) error {
 		for _, fn := range fns {
-			if err := fn.resolve(img); err != nil {
+			f, ok := byName[fn.name]
+			if !ok {
+				return fmt.Errorf("workload: function %s missing from image", fn.name)
+			}
+			if err := fn.resolve(f); err != nil {
 				return err
 			}
 			sumCost += fn.stepsPV
@@ -216,14 +230,10 @@ func Synthesize(p Profile) (*Bench, error) {
 	return bench, nil
 }
 
-// resolve fills in the runtime addresses of a function's walk template.
-// Layout order inside a function is emission order: entry block, then per
-// loop [head, bodies..., tail], then the return block.
-func (fn *fnSpec) resolve(img *program.Image) error {
-	f, ok := img.FindFunction(fn.name)
-	if !ok {
-		return fmt.Errorf("workload: function %s missing from image", fn.name)
-	}
+// resolve fills in the runtime addresses of a function's walk template from
+// its image function f. Layout order inside a function is emission order:
+// entry block, then per loop [head, bodies..., tail], then the return block.
+func (fn *fnSpec) resolve(f *program.Function) error {
 	fn.module = f.Module
 	fn.entry = f.Entry
 	idx := 1

@@ -172,7 +172,7 @@ func TestDriverDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, d2 := b.NewDriver(), b.NewDriver()
+	d1, d2 := newStepper(b.NewDriver(), 1), newStepper(b.NewDriver(), 0)
 	for i := 0; i < 5000; i++ {
 		s1, err1 := d1.Next()
 		s2, err2 := d2.Next()
@@ -196,7 +196,7 @@ func TestDriverEmitsValidControlFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := b.NewDriver()
+	d := newStepper(b.NewDriver(), 0)
 	var prev *program.Block
 	steps := 0
 	for {
@@ -248,20 +248,20 @@ func TestDriverTimeMonotonicAndBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := b.NewDriver()
+	d := newStepper(b.NewDriver(), 0)
 	var lastT uint64
 	for {
 		s, err := d.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if s.Done {
+			break
+		}
 		if s.Time < lastT {
 			t.Fatalf("time went backwards: %d after %d", s.Time, lastT)
 		}
 		lastT = s.Time
-		if s.Done {
-			break
-		}
 	}
 	if lastT > tiny().DurationMicros() {
 		t.Errorf("final time %d exceeds duration %d", lastT, tiny().DurationMicros())
@@ -276,7 +276,7 @@ func TestDriverUnloadsModules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := b.NewDriver()
+	d := newStepper(b.NewDriver(), 0)
 	unloaded := map[program.ModuleID]bool{}
 	for {
 		s, err := d.Next()
@@ -353,7 +353,7 @@ func TestMultithreadedDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := b.NewDriver()
+	d := newStepper(b.NewDriver(), 0)
 	unloaded := map[program.ModuleID]bool{}
 	threadsSeen := map[int]bool{}
 	// Per-thread control-flow consistency: consecutive blocks of the SAME
@@ -440,7 +440,7 @@ func TestSingleThreadUnchangedByThreadField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, d2 := b1.NewDriver(), b2.NewDriver()
+	d1, d2 := newStepper(b1.NewDriver(), 7), newStepper(b2.NewDriver(), 0)
 	for i := 0; i < 20000; i++ {
 		s1, _ := d1.Next()
 		s2, _ := d2.Next()
@@ -460,7 +460,7 @@ func TestMultithreadedDriverDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, d2 := b.NewDriver(), b.NewDriver()
+	d1, d2 := newStepper(b.NewDriver(), 1), newStepper(b.NewDriver(), 0)
 	for i := 0; i < 30000; i++ {
 		s1, _ := d1.Next()
 		s2, _ := d2.Next()
@@ -471,4 +471,51 @@ func TestMultithreadedDriverDeterminism(t *testing.T) {
 			break
 		}
 	}
+}
+
+// step is one driver step, as the step-by-step tests inspect it.
+type step struct {
+	Block    uint64
+	Time     uint64
+	Thread   int
+	Unloaded []program.ModuleID
+	Done     bool
+}
+
+// stepper pulls a driver's steps one at a time through a step block of the
+// given capacity (dbt.BlockSteps when 0).
+type stepper struct {
+	d *Driver
+	b *dbt.StepBlock
+	i int
+}
+
+func newStepper(d *Driver, capacity int) *stepper {
+	return &stepper{d: d, b: dbt.NewStepBlock(capacity)}
+}
+
+// Next returns the driver's next step, or a step with Done set once the
+// driver has finished.
+func (s *stepper) Next() (step, error) {
+	if s.i >= s.b.N {
+		if s.b.Done {
+			return step{Done: true}, nil
+		}
+		if err := s.d.Fill(s.b, s.b.Cap()); err != nil {
+			return step{}, err
+		}
+		s.i = 0
+		if s.b.N == 0 {
+			return step{Done: true}, nil
+		}
+	}
+	i := s.i
+	s.i++
+	st := step{Block: s.b.Addr[i], Time: s.b.Time[i], Thread: int(s.b.Thread[i])}
+	for _, m := range s.b.Mods {
+		if m.At == i {
+			st.Unloaded = m.Unloaded
+		}
+	}
+	return st, nil
 }
